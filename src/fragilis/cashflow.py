@@ -299,6 +299,15 @@ def apply_stress(
     )
 
 
+def stressed_npv_bcr(pv_b, pv_c, pv_o, cost_mult, benefit_mult, x):
+    """(npv, bcr) of apply_stress from the unstressed PVs (B, C, O), with x the
+    delay's discount factor: gain = benefit_mult*x*B, pain = cost_mult*C + x*O.
+    Elementwise on floats and numpy arrays alike."""
+    gain = benefit_mult * x * pv_b
+    pain = cost_mult * pv_c + x * pv_o
+    return gain - pain, gain / pain
+
+
 class BreakEvenDelay(NamedTuple):
     """Delay (years) at which BCR reaches 1; None when delay cannot break it."""
 
@@ -306,37 +315,20 @@ class BreakEvenDelay(NamedTuple):
     already_at_threshold: bool  # BCR <= 1 before any delay
 
 
-_DELAY_TOL = 1e-9
-
-
 def break_even_delay(model: AppraisalModel) -> BreakEvenDelay:
     """Smallest delay d >= 0 with BCR(apply_stress(model, 1, 1, d)) = 1.
 
-    Bisection on d. BCR <= 1 at d=0 reports 0 years with the threshold flag;
-    a non-positive discount rate makes delay harmless, reported as None.
+    A delay of d years scales B and O by x = (1+r)**-d, so BCR = x*B / (C + x*O)
+    reaches 1 at x = C / (B - O): d* = log((B - O) / C) / log1p(r). BCR <= 1 at
+    d=0 reports 0 years with the threshold flag; a non-positive discount rate
+    or zero capex makes delay harmless, reported as None.
     """
-    base = bcr(model)
-    if base <= 1.0:
+    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
+    if pv_b / math.fsum((pv_c, pv_o)) <= 1.0:
         return BreakEvenDelay(0.0, True)
-    if model.discount_rate <= 0.0:
+    if model.discount_rate <= 0.0 or pv_c == 0.0:
         return BreakEvenDelay(None, False)
-
-    def g(d: float) -> float:
-        return bcr(apply_stress(model, 1.0, 1.0, d)) - 1.0
-
-    hi = 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:  # numerically flat; treat as unbreakable
-            return BreakEvenDelay(None, False)
-    lo = 0.0
-    while hi - lo > _DELAY_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return BreakEvenDelay(0.5 * (lo + hi), False)
+    return BreakEvenDelay(math.log((pv_b - pv_o) / pv_c) / math.log1p(model.discount_rate), False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,9 +354,11 @@ def appraise(model: AppraisalModel, benefit_shortfall: float = 0.0) -> Appraisal
     overrun = break_even_overrun(model, benefit_shortfall)
     delay = break_even_delay(model)
     d_star = None if delay.already_at_threshold else delay.years
+    # npv(model) and bcr(model), from one evaluation of the present values
+    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
     return AppraisalResult(
-        npv=npv(model),
-        bcr=bcr(model),
+        npv=math.fsum((pv_b, -pv_c, -pv_o)),
+        bcr=pv_b / math.fsum((pv_c, pv_o)),
         irr=irr(net_stream(model)),
         break_even_overrun=overrun.k_star,
         break_even_delay=d_star,
@@ -425,7 +419,11 @@ def model_from_dict(doc: dict) -> AppraisalModel:
 
 def load_model(path: str | Path) -> AppraisalModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+            raise InputError(f"model file {path} is not valid JSON: {exc}") from None
+    return model_from_dict(doc)
 
 
 def save_model(model: AppraisalModel, path: str | Path) -> None:

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, charts, datasets
-from .cashflow import appraise, load_model, payoff_curve
+from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
 from .errors import ComputeError, InputError
 from .refclass import (
     ReferenceClass,
@@ -90,12 +90,21 @@ def _emit_manifest(args, command: str, inputs: list[Path], seed: int | None = No
     _write_json(_out_dir(args) / f"manifest-{command}.json", manifest.to_dict())
 
 
-def _load_records(args) -> tuple[ReferenceClass, Path]:
-    path = Path(args.records)
+def _input_file(name: str, role: str) -> Path:
+    path = Path(name)
     if not path.is_file():
-        raise InputError(f"records file not found: {path}")
-    result = read_records_csv(path, strict=args.strict)
-    return result.reference_class, path
+        raise InputError(f"{role} file not found: {path}")
+    return path
+
+
+def _load_records(args) -> tuple[ReferenceClass, Path]:
+    path = _input_file(args.records, "records")
+    return read_records_csv(path, strict=args.strict).reference_class, path
+
+
+def _load_model(args) -> tuple[AppraisalModel, Path]:
+    path = _input_file(args.model, "model")
+    return load_model(path), path
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +112,7 @@ def _load_records(args) -> tuple[ReferenceClass, Path]:
 
 
 def cmd_ingest(args) -> None:
-    path = Path(args.records)
-    if not path.is_file():
-        raise InputError(f"records file not found: {path}")
+    path = _input_file(args.records, "records")
     result = read_records_csv(path, strict=args.strict)
     out = _out_dir(args)
     _write_json(
@@ -210,10 +217,7 @@ def cmd_test(args) -> None:
 
 
 def cmd_appraise(args) -> None:
-    path = Path(args.model)
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
-    model = load_model(path)
+    model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
     out = _out_dir(args)
     doc = {
@@ -251,10 +255,7 @@ def _dist_inputs(name_or_path: str) -> list[Path]:
 
 
 def cmd_stress(args) -> None:
-    path = Path(args.model)
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
-    model = load_model(path)
+    model, path = _load_model(args)
     capex_dist = datasets.resolve_dist(args.dist)
     schedule_dist = datasets.resolve_dist(args.schedule_dist) if args.schedule_dist else None
     shortfall = (
@@ -300,10 +301,7 @@ def _parse_mults(raw: str, name: str) -> list[float]:
 
 
 def cmd_grid(args) -> None:
-    path = Path(args.model)
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
-    model = load_model(path)
+    model, path = _load_model(args)
     grid = sensitivity_grid(
         model,
         benefit_mults=_parse_mults(args.benefit_mults, "--benefit-mults"),
@@ -319,10 +317,7 @@ def cmd_grid(args) -> None:
 
 
 def cmd_contingency(args) -> None:
-    path = Path(args.model)
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
-    model = load_model(path)
+    model, path = _load_model(args)
     dist = datasets.resolve_dist(args.dist)
     result = size_contingency(model, dist, args.coverage)
     out = _out_dir(args)
@@ -363,8 +358,6 @@ def _render_value(value, indent: int = 0) -> list[str]:
             else:
                 lines.append(f"{pad}- {key}: {json.dumps(sub)}")
         return lines
-    if isinstance(value, list):
-        return [f"{pad}- {json.dumps(value)}"]
     return [f"{pad}- {json.dumps(value)}"]
 
 

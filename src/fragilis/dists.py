@@ -102,12 +102,8 @@ class QuantileDistribution:
 
     # -- quantile / CDF ------------------------------------------------------
 
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        ps = np.concatenate(([0.0], np.asarray(self.anchor_ps, dtype=float)))
-        xs = np.concatenate(([self.floor_x], np.asarray(self.anchor_xs, dtype=float)))
-        return ps, xs
-
-    def _node_lists(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def _nodes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Quantile nodes (p, x): the floor at p=0, then every anchor."""
         return (0.0, *self.anchor_ps), (self.floor_x, *self.anchor_xs)
 
     def quantile(self, p: float) -> float:
@@ -116,9 +112,9 @@ class QuantileDistribution:
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails the check too
             raise InputError("quantile levels must lie strictly inside (0, 1)")
-        ps, xs = self._nodes()
+        ps, xs = (np.asarray(nodes, dtype=float) for nodes in self._nodes())
         log_xs = np.log(xs)
         p_last = ps[-1]
         out = np.empty_like(p)
@@ -180,7 +176,7 @@ class QuantileDistribution:
         quantile function from 0 to the last anchor probability. Each segment
         integrates to (p_b - p_a) times the logarithmic mean of its endpoint
         values."""
-        ps, xs = self._node_lists()
+        ps, xs = self._nodes()
         total = 0.0
         for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
             if xb == xa:
@@ -201,7 +197,7 @@ class QuantileDistribution:
         mean() this gives trimmed means in closed form."""
         if not 0.0 < p_hi < 1.0:
             raise InputError("p_hi must lie strictly inside (0, 1)")
-        ps, xs = self._node_lists()
+        ps, xs = self._nodes()
         total = 0.0
         for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
             if p_hi <= pa:
@@ -351,4 +347,8 @@ def dist_from_dict(doc: dict) -> QuantileDistribution:
 
 def load_dist(path: str | Path) -> QuantileDistribution:
     with open(path, encoding="utf-8") as fh:
-        return dist_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+            raise InputError(f"distribution file {path} is not valid JSON: {exc}") from None
+    return dist_from_dict(doc)

@@ -13,8 +13,9 @@ together), per-trial NPV and BCR reduce exactly to three present values:
     bcr(k, b, d) = b * x * B / (k * C + x * O)
 
 where B, C, O are the unstressed present values of benefits, capex, and O&M.
-run_stress evaluates that factorization vectorized; its equivalence to the
-literal apply_stress path is covered by tests.
+cashflow.stressed_npv_bcr holds that factorization: run_stress evaluates it
+vectorized, sensitivity_grid and size_contingency with x = 1. Only the grid's
+IRR needs a stressed cash flow stream. Tests check it against apply_stress.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _rng
-from .cashflow import AppraisalModel, apply_stress, bcr, irr, net_stream
+from .cashflow import AppraisalModel, apply_stress, irr, net_stream, stressed_npv_bcr
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import InputError
 
@@ -153,9 +154,7 @@ def _trial_arrays(
     model: AppraisalModel, config: StressConfig, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(npv, bcr) for trial indices [start, stop), via the PV factorization."""
-    pv_b = model.pv_benefits()
-    pv_c = model.pv_capex()
-    pv_o = model.pv_om()
+    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
     r = model.discount_rate
 
     k = config.capex_dist.sample_array(_rng.uniforms(config.seed, CAPEX_TAG, start, stop))
@@ -176,9 +175,7 @@ def _trial_arrays(
     else:
         s = np.full(stop - start, float(config.shortfall))
 
-    gain = (1.0 - s) * x * pv_b
-    pain = k * pv_c + x * pv_o
-    return gain - pain, gain / pain
+    return stressed_npv_bcr(pv_b, pv_c, pv_o, k, 1.0 - s, x)
 
 
 def run_stress(
@@ -273,18 +270,20 @@ def sensitivity_grid(
     benefit_mults: Sequence[float],
     cost_mults: Sequence[float],
 ) -> SensitivityGrid:
-    """IRR and BCR for every (cost multiplier, benefit multiplier) pair."""
+    """IRR and BCR, b*B / (k*C + O), for every (cost mult k, benefit mult b) pair."""
+    benefit_mults = tuple(float(b) for b in benefit_mults)
+    cost_mults = tuple(float(k) for k in cost_mults)
     if any(b <= 0 for b in benefit_mults) or any(k <= 0 for k in cost_mults):
         raise InputError("grid multipliers must be positive")
+    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
     rows = []
     for k in cost_mults:
         row = []
         for b in benefit_mults:
-            stressed = apply_stress(model, cost_mult=k, benefit_mult=b, delay_years=0.0)
-            row.append(GridCell(irr(net_stream(stressed)), bcr(stressed)))
+            _, cell_bcr = stressed_npv_bcr(*pvs, k, b, 1.0)
+            row.append(GridCell(irr(net_stream(apply_stress(model, k, b))), cell_bcr))
         rows.append(tuple(row))
-    return SensitivityGrid(tuple(float(b) for b in benefit_mults),
-                           tuple(float(k) for k in cost_mults), tuple(rows))
+    return SensitivityGrid(benefit_mults, cost_mults, tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,10 +311,12 @@ def size_contingency(
 
     The uplift c = quantile(coverage) - 1 restates the budget at the chosen
     percentile of the overrun distribution; the project clears appraisal only
-    if its BCR stays above 1 with capex scaled by (1 + c).
+    if its BCR stays above 1 with capex scaled by (1 + c), i.e. if
+    B / ((1 + c)*C + O) > 1.
     """
     if not 0.0 < coverage < 1.0:
         raise InputError(f"coverage must lie strictly inside (0, 1), got {coverage}")
     c = capex_dist.quantile(coverage) - 1.0
-    adjusted = bcr(apply_stress(model, cost_mult=1.0 + c))
+    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
+    _, adjusted = stressed_npv_bcr(*pvs, 1.0 + c, 1.0, 1.0)
     return ContingencyResult(coverage, c, adjusted, adjusted > 1.0)

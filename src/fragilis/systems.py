@@ -230,7 +230,10 @@ def graph_to_json(graph: SystemGraph) -> str:
 
 
 def graph_from_json(text: str) -> SystemGraph:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"system graph document is not valid JSON: {exc}") from None
     try:
         components = {
             cid: FragilityProfile(float(spec["threshold"]), float(spec["recoverability"]))

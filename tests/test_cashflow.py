@@ -364,6 +364,22 @@ def test_break_even_delay_closed_form_property():
         checked += 1
 
 
+def test_break_even_delay_with_om_property():
+    # delay shifts O&M with the benefits, so d* must reach BCR 1 on the literal
+    # stressed model, not only in the O&M-free closed form above
+    rng = np.random.default_rng(5)
+    checked = with_om = 0
+    while checked < 200:
+        m = random_model(rng, r_range=(0.01, 0.25))
+        if bcr(m) <= 1.0:
+            continue
+        d_star = break_even_delay(m).years
+        assert abs(bcr(apply_stress(m, delay_years=d_star)) - 1.0) < 1e-9
+        checked += 1
+        with_om += m.pv_om() > 0.0
+    assert with_om >= 100
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -56,6 +56,13 @@ def test_appraise_malformed_model_is_validation_error(tmp_path):
     assert run(["appraise", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_appraise_truncated_model_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "truncated.json"
+    bad.write_text(Path(STYLIZED).read_text(encoding="utf-8")[:40])
+    assert run(["appraise", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # stress
 
@@ -102,6 +109,15 @@ def test_stress_unknown_dist_is_validation_error(tmp_path):
              "--out", str(tmp_path)])
         == 2
     )
+
+
+def test_stress_truncated_dist_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "truncated-dist.json"
+    bad.write_text(datasets.asset_path("big-dam.json").read_text(encoding="utf-8")[:40])
+    rc = run(["stress", STYLIZED, "--dist", str(bad), "--trials", "10", "--seed", "1",
+              "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_stress_infeasible_calibration_is_computation_error(tmp_path, capsys):

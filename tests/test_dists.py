@@ -128,9 +128,13 @@ def test_cdf_below_floor_is_zero(canonical_dist):
 
 
 def test_sample_domain_errors(canonical_dist):
-    for u in (0.0, 1.0, -0.1, 1.7):
+    for u in (0.0, 1.0, -0.1, 1.7, math.nan):
         with pytest.raises(InputError):
             canonical_dist.sample(u)
+        with pytest.raises(InputError):
+            canonical_dist.quantile(u)
+        with pytest.raises(InputError):
+            canonical_dist.quantile_array(np.array([0.5, u]))
 
 
 def test_bounded_negative_shape_tail():

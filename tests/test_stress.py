@@ -282,10 +282,12 @@ def test_grid_random_models_match_cell_recomputation():
         b_mults = sorted(rng.uniform(0.6, 1.4, size=3))
         k_mults = sorted(rng.uniform(0.8, 1.6, size=3))
         grid = sensitivity_grid(model, b_mults, k_mults)
+        pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
         for i, k in enumerate(k_mults):
             for j, b in enumerate(b_mults):
                 stressed = apply_stress(model, cost_mult=k, benefit_mult=b)
-                assert grid.cells[i][j].bcr == bcr(stressed)
+                assert grid.cells[i][j].bcr == b * pv_b / (k * pv_c + pv_o)
+                assert grid.cells[i][j].bcr == pytest.approx(bcr(stressed), rel=1e-12)
                 assert grid.cells[i][j].irr == irr(net_stream(stressed))
 
 

@@ -202,3 +202,5 @@ def test_graph_json_round_trip():
 def test_graph_json_malformed():
     with pytest.raises(InputError):
         graph_from_json('{"components": {}}')
+    with pytest.raises(InputError):
+        graph_from_json('{"components": {')  # truncated JSON
