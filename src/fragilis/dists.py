@@ -45,12 +45,6 @@ class GeneralizedParetoTail:
         if not self.scale > 0.0:
             raise InputError(f"tail scale must be > 0, got {self.scale}")
 
-    def quantile_excess(self, q: float) -> float:
-        """Excess over the threshold at exceedance quantile q in [0, 1)."""
-        if self.shape == 0.0:
-            return -self.scale * math.log1p(-q)
-        return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
-
     def cdf_excess(self, excess: float) -> float:
         if excess <= 0.0:
             return 0.0
@@ -147,6 +141,8 @@ class QuantileDistribution:
 
     def cdf(self, x: float) -> float:
         """P(X <= x), inverting the piecewise quantile function."""
+        if math.isnan(x):
+            raise InputError("cdf argument must be a number, got nan")
         ps, xs = self._nodes()
         if x <= self.floor_x:
             return 0.0
@@ -173,18 +169,8 @@ class QuantileDistribution:
 
     def body_mean(self) -> float:
         """Mean contribution of the log-linear body, i.e. the integral of the
-        quantile function from 0 to the last anchor probability. Each segment
-        integrates to (p_b - p_a) times the logarithmic mean of its endpoint
-        values."""
-        ps, xs = self._nodes()
-        total = 0.0
-        for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
-            if xb == xa:
-                avg = xa
-            else:
-                avg = (xb - xa) / math.log(xb / xa)
-            total += (pb - pa) * avg
-        return total
+        quantile function from 0 to the last anchor probability."""
+        return self.partial_mean(self.anchor_ps[-1])
 
     def mean(self) -> float:
         """Analytic mean of the composed distribution."""

@@ -169,22 +169,27 @@ def deflate(
     return out
 
 
-def quantile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolation quantile between order statistics (the common
-    spreadsheet default): with s sorted and h = (n-1)p, returns
+def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
+    """Linear-interpolation (type 7) quantiles at each level in ps, from one
+    sort: with s sorted and h = (n-1)p, each is
     s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]). Written out
     directly so sort-based brute-force oracles can match bit for bit."""
-    if not values:
+    if len(values) == 0:
         raise InputError("quantile of an empty sample")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"quantile level must be in [0, 1], got {p}")
-    s = sorted(float(v) for v in values)
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise InputError(f"quantile level must be in [0, 1], got {p}")
+    s = np.sort(np.asarray(values, dtype=float))
     n = len(s)
     if n == 1:
-        return s[0]
-    h = (n - 1) * p
-    lo = min(int(math.floor(h)), n - 2)
-    return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+        return tuple(float(s[0]) for _ in ps)
+    out = []
+    for p in ps:
+        h = (n - 1) * p
+        lo = min(int(math.floor(h)), n - 2)
+        a, b = float(s[lo]), float(s[lo + 1])
+        out.append(float(a + (h - lo) * (b - a)))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,13 +233,13 @@ def summarize(
     if n == 0:
         raise InputError(f"no records with {metric} data to summarize")
     arr = np.asarray(ratios, dtype=float)
-    qs = {float(p): quantile(ratios, p) for p in quantile_ps}
+    median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *quantile_ps))
     return SummaryStats(
         n=n,
         mean=float(math.fsum(ratios) / n),
-        median=quantile(ratios, 0.5),
-        iqr=quantile(ratios, 0.75) - quantile(ratios, 0.25),
-        quantiles=qs,
+        median=median,
+        iqr=q75 - q25,
+        quantiles=dict(zip(map(float, quantile_ps), qs)),
         share_over_1=float(np.count_nonzero(arr > 1.0)) / n,
         share_breaking={float(t): float(np.count_nonzero(arr >= t)) / n for t in thresholds},
     )
@@ -391,22 +396,23 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
             f"bad CSV header: expected {','.join(CSV_COLUMNS)} got {','.join(header)}"
         )
 
-    records: list[ProjectRecord] = []
+    records: dict[str, ProjectRecord] = {}
     errors: list[RowError] = []
     for row in reader:
         # line_num tracks physical lines, so multi-line quoted fields still
         # produce accurate diagnostics
         try:
-            records.append(_parse_row(row, reader.line_num))
+            rec = _parse_row(row, reader.line_num)
+            if rec.id in records:
+                raise _RowParseError(
+                    RowError(reader.line_num, "id", f"duplicate record id {rec.id!r}")
+                )
+            records[rec.id] = rec
         except _RowParseError as exc:
             if strict:
                 raise InputError(str(exc.error)) from None
             errors.append(exc.error)
-    try:
-        ref = ReferenceClass(tuple(records), label=label)
-    except InputError as exc:
-        raise InputError(str(exc)) from None
-    return IngestResult(ref, tuple(errors))
+    return IngestResult(ReferenceClass(tuple(records.values()), label=label), tuple(errors))
 
 
 def _fmt(value: float | None) -> str:

@@ -49,7 +49,8 @@ def silverman_bandwidth(sample: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     sd = float(np.std(np.asarray(sample, dtype=float), ddof=1))
-    iqr = quantile(sample, 0.75) - quantile(sample, 0.25)
+    q25, q75 = quantile(sample, (0.25, 0.75))
+    iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * n ** (-0.2)
 
@@ -111,26 +112,35 @@ class TestResult:
 # Mann-Whitney U
 
 
-def _u_statistic(x: Sequence[float], y: Sequence[float]) -> float:
-    """U for x against y: concordant pairs plus half the tied pairs."""
-    gt = sum(1 for xi in x for yj in y if xi > yj)
-    ties = sum(1 for xi in x for yj in y if xi == yj)
-    return gt + 0.5 * ties
+def _midranks(pooled: Sequence[float]) -> tuple[list[float], float]:
+    """1-based midranks of pooled, in input order, and the tie term
+    sum(t**3 - t) over runs of t equal values, from one sorted pass.
+    Midranks are half-integers, so sums of them are exact."""
+    order = sorted(range(len(pooled)), key=pooled.__getitem__)
+    ranks = [0.0] * len(pooled)
+    tie_term = 0.0
+    below = 0
+    for _, run in itertools.groupby(order, key=pooled.__getitem__):
+        members = list(run)
+        t = len(members)
+        for i in members:
+            ranks[i] = below + (t + 1) / 2.0
+        tie_term += t**3 - t
+        below += t
+    return ranks, tie_term
 
 
-def _exact_two_sided_p(pooled: Sequence[float], n: int, u_obs: float) -> float:
-    """Two-sided permutation p-value by full enumeration of group labelings."""
-    center = n * (len(pooled) - n) / 2.0
+def _exact_two_sided_p(ranks: Sequence[float], n: int, u_obs: float) -> float:
+    """Two-sided permutation p-value by full enumeration of group labelings;
+    each labeling's U is the rank sum of its first group minus n(n+1)/2."""
+    offset = n * (n + 1) / 2.0
+    center = n * (len(ranks) - n) / 2.0
     dev = abs(u_obs - center)
     hits = 0
     total = 0
-    indices = range(len(pooled))
-    for combo in itertools.combinations(indices, n):
-        chosen = set(combo)
-        gx = [pooled[i] for i in combo]
-        gy = [pooled[i] for i in indices if i not in chosen]
+    for combo in itertools.combinations(range(len(ranks)), n):
         # U values land on a 0.5 grid, so exact comparison is safe
-        if abs(_u_statistic(gx, gy) - center) >= dev:
+        if abs(sum(ranks[i] for i in combo) - offset - center) >= dev:
             hits += 1
         total += 1
     return hits / total
@@ -144,31 +154,26 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Two-sample Mann-Whitney U test.
 
     The statistic is U for x: the number of (x_i, y_j) pairs with x_i > y_j
-    plus half the ties. For n + m <= 12 the two-sided p-value is exact by
+    plus half the ties, computed as the sum of x's midranks in the pooled
+    sample minus n(n+1)/2. For n + m <= 12 the two-sided p-value is exact by
     full enumeration; above that it uses the normal approximation with tie
     correction and continuity correction.
     """
     n, m = len(x), len(y)
     if n < 1 or m < 1:
         raise InputError("both samples must be non-empty")
-    u = _u_statistic(x, y)
+    pooled = list(x) + list(y)
+    if any(math.isnan(v) for v in pooled):
+        raise InputError("samples must not contain NaN")
+    ranks, tie_term = _midranks(pooled)
+    u = sum(ranks[:n]) - n * (n + 1) / 2.0
 
     if n + m <= EXACT_ENUMERATION_LIMIT:
-        p = _exact_two_sided_p(list(x) + list(y), n, u)
+        p = _exact_two_sided_p(ranks, n, u)
         return TestResult(u, p, "exact", n, m)
 
     total = n + m
     mean = n * m / 2.0
-    pooled = sorted(list(x) + list(y))
-    tie_term = 0.0
-    i = 0
-    while i < total:
-        j = i
-        while j < total and pooled[j] == pooled[i]:
-            j += 1
-        t = j - i
-        tie_term += t**3 - t
-        i = j
     var = (n * m / 12.0) * ((total + 1) - tie_term / (total * (total - 1)))
     if var <= 0:
         return TestResult(u, 1.0, "normal_approx", n, m)  # all values tied

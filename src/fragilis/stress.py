@@ -32,6 +32,7 @@ from . import _rng
 from .cashflow import AppraisalModel, apply_stress, irr, net_stream, stressed_npv_bcr
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import InputError
+from .refclass import quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -215,9 +216,7 @@ def run_stress(
     n_broken = int(np.count_nonzero(breaks))
     p_break = n_broken / n
     se = math.sqrt(p_break * (1.0 - p_break) / n)
-    quantiles = {
-        float(p): float(np.quantile(npvs, p, method="linear")) for p in quantile_ps
-    }
+    quantiles = dict(zip(map(float, quantile_ps), quantile(npvs, quantile_ps)))
     mean_npv = math.fsum(npvs) / n  # exact sum: independent of trial order
     return StressResult(p_break, se, quantiles, mean_npv, n, config.seed)
 

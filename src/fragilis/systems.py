@@ -240,7 +240,9 @@ def graph_from_json(text: str) -> SystemGraph:
             for cid, spec in doc["components"].items()
         }
         root = _node_from_obj(doc["system"])
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed system graph document: {exc}") from None
     if isinstance(root, str):
         root = CompositionNode("series", (root,))

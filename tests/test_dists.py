@@ -135,6 +135,8 @@ def test_sample_domain_errors(canonical_dist):
             canonical_dist.quantile(u)
         with pytest.raises(InputError):
             canonical_dist.quantile_array(np.array([0.5, u]))
+    with pytest.raises(InputError):
+        canonical_dist.cdf(math.nan)
 
 
 def test_bounded_negative_shape_tail():

@@ -182,14 +182,14 @@ def test_quantile_matches_brute_force_exactly():
     for n in range(1, 51):
         values = list(rng.uniform(0.3, 4.0, size=n))
         for p in (0.0, 0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 0.97, 1.0):
-            assert quantile(values, p) == _quantile_oracle(values, p)
+            assert quantile(values, (p,))[0] == _quantile_oracle(values, p)
 
 
 def test_quantile_close_to_numpy():
     rng = np.random.default_rng(14)
     values = list(rng.uniform(0.3, 4.0, size=33))
     for p in (0.1, 0.5, 0.77):
-        assert quantile(values, p) == pytest.approx(
+        assert quantile(values, (p,))[0] == pytest.approx(
             float(np.quantile(values, p)), rel=1e-14
         )
 
@@ -332,6 +332,28 @@ def test_csv_lenient_skips_and_counts():
     assert result.n_skipped == 2
     assert result.errors[0].row == 3 and result.errors[0].field == "region"
     assert result.errors[1].row == 4 and result.errors[1].field == "decision_year"
+
+
+DUPLICATE_ID_CSV = (
+    CSV_HEADER
+    + "\nA,Dam,X,Asia,road,1990,1,2,3,4,,"
+    + "\nB,Dam,X,Europe,road,1990,1,2,3,4,,"
+    + "\nA,Dam,X,Africa,road,1990,1,3,3,4,,\n"
+)
+
+
+def test_csv_lenient_skips_duplicate_id():
+    result = read_records_csv(io.StringIO(DUPLICATE_ID_CSV), strict=False)
+    assert [r.id for r in result.reference_class.records] == ["A", "B"]
+    assert result.reference_class.records[0].region is Region.ASIA
+    assert len(result.errors) == 1
+    assert result.errors[0].row == 4 and result.errors[0].field == "id"
+    assert "duplicate" in result.errors[0].message
+
+
+def test_csv_strict_rejects_duplicate_id():
+    with pytest.raises(InputError, match=r"row 4.*'id'.*duplicate record id 'A'"):
+        read_records_csv(io.StringIO(DUPLICATE_ID_CSV), strict=True)
 
 
 def test_csv_bad_header_rejected():

@@ -105,6 +105,13 @@ def test_kde_empty_sample_error():
 # Mann-Whitney U
 
 
+def _u_pairwise(x, y):
+    """Brute-force U oracle: pairs with x_i > y_j plus half the tied pairs."""
+    gt = sum(1 for a in x for b in y if a > b)
+    eq = sum(1 for a in x for b in y if a == b)
+    return gt + 0.5 * eq
+
+
 def test_mwu_small_example_exact():
     result = mann_whitney_u([3, 4], [1, 2])
     assert result.statistic == 4
@@ -140,9 +147,7 @@ def _mwu_enumeration_oracle(x, y):
     def u_of(ix):
         gx = [pooled[i] for i in ix]
         gy = [pooled[i] for i in range(n + m) if i not in set(ix)]
-        gt = sum(1 for a in gx for b in gy if a > b)
-        eq = sum(1 for a in gx for b in gy if a == b)
-        return gt + 0.5 * eq
+        return _u_pairwise(gx, gy)
 
     u_obs = u_of(tuple(range(n)))
     dev = abs(u_obs - center)
@@ -163,6 +168,19 @@ def test_mwu_exact_matches_enumeration_oracle():
         assert result.method == "exact"
         assert result.statistic == u_oracle
         assert result.p_value == p_oracle
+
+
+def test_mwu_normal_approx_u_matches_pairwise_oracle():
+    # heavy ties (few distinct values) exercise the midrank runs
+    rng = np.random.default_rng(23)
+    for total in (13, 14, 20, 57, 130, 251, 400):
+        for distinct in (2, 5, 40):
+            n = int(rng.integers(1, total))
+            x = list(rng.integers(0, distinct, size=n).astype(float) / 4.0)
+            y = list(rng.integers(0, distinct, size=total - n).astype(float) / 4.0)
+            result = mann_whitney_u(x, y)
+            assert result.method == "normal_approx"
+            assert result.statistic == _u_pairwise(x, y)
 
 
 def test_mwu_normal_approx_vs_permutation_mc():
@@ -215,6 +233,9 @@ def test_mwu_exact_p_monotone_under_growing_shift():
 def test_mwu_empty_sample_error():
     with pytest.raises(InputError):
         mann_whitney_u([], [1.0])
+    for x in ([1.0, math.nan], [math.nan] + [1.0] * 12):  # exact and normal paths
+        with pytest.raises(InputError):
+            mann_whitney_u(x, [2.0, 3.0])
 
 
 def test_overrun_bias_samples_split():

@@ -10,6 +10,7 @@ from fragilis.dists import build_quantile_dist
 from fragilis.errors import InputError
 from fragilis.stress import (
     CAPEX_TAG,
+    DEFAULT_NPV_QUANTILES,
     SCHEDULE_TAG,
     SHORTFALL_TAG,
     StressConfig,
@@ -119,7 +120,7 @@ def test_run_stress_vectorized_matches_literal_path(canonical_dist):
         est_duration_years=6.0,
         shortfall=0.11,
     )
-    result = run_stress(model, config, quantile_ps=(0.5,))
+    result = run_stress(model, config)
 
     npvs, n_broken = [], 0
     for i in range(config.n_trials):
@@ -132,6 +133,12 @@ def test_run_stress_vectorized_matches_literal_path(canonical_dist):
             n_broken += 1
     assert result.p_break == pytest.approx(n_broken / config.n_trials, abs=1e-12)
     assert result.mean_npv == pytest.approx(math.fsum(npvs) / len(npvs), rel=1e-9)
+    s = sorted(npvs)
+    assert list(result.npv_quantiles) == list(DEFAULT_NPV_QUANTILES)
+    for p, q in result.npv_quantiles.items():
+        h = (len(s) - 1) * p
+        lo = int(h)
+        assert q == pytest.approx(s[lo] + (h - lo) * (s[lo + 1] - s[lo]), rel=1e-9)
 
 
 def test_run_stress_p_break_monotone_in_base_bcr(canonical_dist):

@@ -204,3 +204,9 @@ def test_graph_json_malformed():
         graph_from_json('{"components": {}}')
     with pytest.raises(InputError):
         graph_from_json('{"components": {')  # truncated JSON
+    with pytest.raises(InputError):
+        graph_from_json('{"components": [], "system": "a"}')
+    with pytest.raises(InputError):
+        graph_from_json(
+            '{"components": {"a": {"threshold": "x", "recoverability": 0.5}}, "system": "a"}'
+        )
