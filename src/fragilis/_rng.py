@@ -1,11 +1,11 @@
-"""Counter-based uniform random numbers for reproducible parallel trials.
+"""Counter-based uniform random numbers for reproducible trials.
 
 Every variate is a pure function of (seed, trial_index, variable_tag), so a
-batch of trials can be evaluated in any order, in any chunking, on any number
-of workers, and still produce bit-identical streams.  The generator is a
-SplitMix64-style finalizer applied to a per-(seed, tag) affine counter walk;
-the odd gamma increment keeps the counter sequence equidistributed and the
-double finalizer gives full avalanche between adjacent trial indices.
+batch of trials can be evaluated in any order and in any chunking, and still
+produce bit-identical streams.  The generator is a SplitMix64-style finalizer
+applied to a per-(seed, tag) affine counter walk; the odd gamma increment
+keeps the counter sequence equidistributed and the double finalizer gives
+full avalanche between adjacent trial indices.
 """
 
 from __future__ import annotations

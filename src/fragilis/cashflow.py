@@ -148,10 +148,13 @@ def bcr(model: AppraisalModel) -> float:
     return model.pv_benefits() / pain
 
 
-def net_stream(model: AppraisalModel) -> CashFlowStream:
-    """Merged signed stream (benefits positive, costs negative), for IRR."""
-    entries = [(t, a) for t, a in model.benefits.entries]
-    entries += [(t, -a) for t, a in model.capex.entries]
+def net_stream(
+    model: AppraisalModel, cost_mult: float = 1.0, benefit_mult: float = 1.0
+) -> CashFlowStream:
+    """Merged signed stream (benefits positive, costs negative), for IRR, with
+    capex and benefit amounts scaled as apply_stress scales them."""
+    entries = [(t, benefit_mult * a) for t, a in model.benefits.entries]
+    entries += [(t, -(cost_mult * a)) for t, a in model.capex.entries]
     entries += [(t, -a) for t, a in model.om_costs.entries]
     return CashFlowStream.of(entries)
 

@@ -249,11 +249,6 @@ def cmd_appraise(args) -> None:
     print(f"bcr={result.bcr:.6g} npv={result.npv:.6g} k*={result.break_even_overrun:.6g}")
 
 
-def _dist_inputs(name_or_path: str) -> list[Path]:
-    p = Path(name_or_path)
-    return [p] if p.is_file() else []
-
-
 def cmd_stress(args) -> None:
     model, path = _load_model(args)
     capex_dist = datasets.resolve_dist(args.dist)
@@ -270,7 +265,7 @@ def cmd_stress(args) -> None:
         est_duration_years=args.duration,
         shortfall=shortfall,
     )
-    result = run_stress(model, config, workers=args.workers)
+    result = run_stress(model, config)
     out = _out_dir(args)
     doc = result.to_dict()
     doc["source"] = str(path)
@@ -278,11 +273,11 @@ def cmd_stress(args) -> None:
     if args.schedule_dist:
         doc["schedule_dist"] = args.schedule_dist
         doc["est_duration_years"] = args.duration
+    doc["shortfall"] = args.shortfall_dist or args.shortfall
     _write_json(out / "stress.json", doc)
     (out / "stress-npv-quantiles.csv").write_text(result.quantiles_csv(), encoding="utf-8")
-    inputs = [path] + _dist_inputs(args.dist)
-    if args.schedule_dist:
-        inputs += _dist_inputs(args.schedule_dist)
+    dists = (args.dist, args.schedule_dist, args.shortfall_dist)
+    inputs = [path] + [datasets.dist_path(d) for d in dists if d]
     _emit_manifest(args, "stress", inputs, seed=seed)
     print(
         f"p_break={result.p_break:.4f} (se {result.p_break_se:.4f}) "
@@ -325,7 +320,7 @@ def cmd_contingency(args) -> None:
     doc["source"] = str(path)
     doc["capex_dist"] = args.dist
     _write_json(out / "contingency.json", doc)
-    _emit_manifest(args, "contingency", [path] + _dist_inputs(args.dist))
+    _emit_manifest(args, "contingency", [path, datasets.dist_path(args.dist)])
     print(
         f"contingency {result.contingency:.4f} at p={args.coverage:g}: "
         f"adjusted bcr {result.adjusted_bcr:.4f} -> {doc['decision']}"
@@ -454,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed; generated and recorded when omitted")
-    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_stress)
 

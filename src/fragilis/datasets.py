@@ -77,24 +77,22 @@ def asset_path(filename: str) -> Path:
     return path
 
 
-def load_named_dist(name: str) -> QuantileDistribution:
-    if name not in _DIST_FILES:
-        raise InputError(
-            f"unknown distribution name {name!r}; bundled names: {sorted(_DIST_FILES)}"
-        )
-    return load_dist(asset_path(_DIST_FILES[name]))
-
-
-def resolve_dist(name_or_path: str) -> QuantileDistribution:
-    """CLI-facing resolver: a bundled name first, then a file path."""
+def dist_path(name_or_path: str) -> Path:
+    """File behind a distribution argument: a bundled name first, resolved
+    under data_dir() so FRAGILIS_DATA_DIR applies, then a file path."""
     if name_or_path in _DIST_FILES:
-        return load_named_dist(name_or_path)
+        return asset_path(_DIST_FILES[name_or_path])
     if Path(name_or_path).is_file():
-        return load_dist(name_or_path)
+        return Path(name_or_path)
     raise InputError(
         f"{name_or_path!r} is neither a bundled distribution name "
         f"({sorted(_DIST_FILES)}) nor an existing file"
     )
+
+
+def resolve_dist(name_or_path: str) -> QuantileDistribution:
+    """CLI-facing loader for the file dist_path names."""
+    return load_dist(dist_path(name_or_path))
 
 
 def load_stylized_model() -> AppraisalModel:

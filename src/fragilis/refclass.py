@@ -169,6 +169,13 @@ def deflate(
     return out
 
 
+def check_levels(ps: Sequence[float]) -> None:
+    """Raise InputError unless every quantile level lies in [0, 1]."""
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise InputError(f"quantile level must be in [0, 1], got {p}")
+
+
 def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     """Linear-interpolation (type 7) quantiles at each level in ps, from one
     sort: with s sorted and h = (n-1)p, each is
@@ -176,9 +183,7 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     directly so sort-based brute-force oracles can match bit for bit."""
     if len(values) == 0:
         raise InputError("quantile of an empty sample")
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise InputError(f"quantile level must be in [0, 1], got {p}")
+    check_levels(ps)
     s = np.sort(np.asarray(values, dtype=float))
     n = len(s)
     if n == 1:

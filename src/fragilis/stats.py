@@ -42,14 +42,22 @@ class DensityTrace:
         return list(zip(self.grid, self.density))
 
 
+def _finite(sample: Sequence[float]) -> np.ndarray:
+    data = np.asarray(sample, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise InputError("sample contains non-finite values")
+    return data
+
+
 def silverman_bandwidth(sample: Sequence[float]) -> float:
     """0.9 * min(sd, IQR/1.34) * n**-0.2, with the usual fallback to sd when
     the IQR is degenerate. Zero for a zero-variance sample."""
-    n = len(sample)
+    data = _finite(sample)
+    n = len(data)
     if n < 2:
         return 0.0
-    sd = float(np.std(np.asarray(sample, dtype=float), ddof=1))
-    q25, q75 = quantile(sample, (0.25, 0.75))
+    sd = float(np.std(data, ddof=1))
+    q25, q75 = quantile(data, (0.25, 0.75))
     iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * n ** (-0.2)
@@ -63,8 +71,8 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     """
     if len(sample) < 1:
         raise InputError("kde requires at least one observation")
-    data = np.asarray(sample, dtype=float)
-    h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
+    data = _finite(sample)
+    h = silverman_bandwidth(data) if bandwidth is None else float(bandwidth)
     if not h > 0:
         if bandwidth is None:
             raise DegenerateSampleError(

@@ -4,7 +4,7 @@ Each trial draws a capex overrun multiplier, an optional schedule slippage
 (converted to years of delay), and an optional benefit shortfall, applies
 them to the model, and tests whether the BCR falls below 1. Trial draws are
 counter-based, a pure function of (seed, trial index, variable tag), so
-results are bit-identical no matter how trials are chunked or parallelized.
+results are bit-identical no matter how trials are chunked.
 
 Under the stress semantics (capex scaled in place, benefits and O&M shifted
 together), per-trial NPV and BCR reduce exactly to three present values:
@@ -15,31 +15,37 @@ together), per-trial NPV and BCR reduce exactly to three present values:
 where B, C, O are the unstressed present values of benefits, capex, and O&M.
 cashflow.stressed_npv_bcr holds that factorization: run_stress evaluates it
 vectorized, sensitivity_grid and size_contingency with x = 1. Only the grid's
-IRR needs a stressed cash flow stream. Tests check it against apply_stress.
+IRR needs a stressed cash flow stream, which net_stream builds with the cell's
+multipliers. Tests check both against apply_stress.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _rng
-from .cashflow import AppraisalModel, apply_stress, irr, net_stream, stressed_npv_bcr
+from .cashflow import AppraisalModel, irr, net_stream, stressed_npv_bcr
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import InputError
-from .refclass import quantile
+from .refclass import check_levels, quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
 SHORTFALL_TAG = 3
 
 DEFAULT_NPV_QUANTILES = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
-_DEFAULT_CHUNK = 262_144
+_CHUNK = 262_144  # trials per span; bounds the per-span draw and evaluation temporaries
+
+MAX_TRIALS = 100_000_000
+"""Largest n_trials a StressConfig accepts. run_stress keeps 8 bytes per
+trial (the NPV array) plus about 18 MB of per-span temporaries while it
+evaluates, and 16 bytes per trial while it sorts a copy for the quantiles:
+1.6 GB at this cap."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +67,8 @@ class StressConfig:
     shortfall: float | QuantileDistribution = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise InputError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise InputError(f"n_trials must be in [1, {MAX_TRIALS}], got {self.n_trials}")
         if self.schedule_dist is not None:
             if self.est_duration_years is None or not self.est_duration_years > 0:
                 raise InputError(
@@ -152,68 +158,49 @@ class StressResult:
 
 
 def _trial_arrays(
-    model: AppraisalModel, config: StressConfig, start: int, stop: int
+    config: StressConfig, pvs: tuple[float, float, float], r: float, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(npv, bcr) for trial indices [start, stop), via the PV factorization."""
-    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
-    r = model.discount_rate
+    """(npv, bcr) for trial indices [start, stop), via the PV factorization
+    of the unstressed present values pvs = (B, C, O) at discount rate r."""
 
-    k = config.capex_dist.sample_array(_rng.uniforms(config.seed, CAPEX_TAG, start, stop))
+    def draw(dist: QuantileDistribution, tag: int) -> np.ndarray:
+        return dist.sample_array(_rng.uniforms(config.seed, tag, start, stop))
 
+    k = draw(config.capex_dist, CAPEX_TAG)
+    x = 1.0  # inputs that do not vary stay scalars; broadcasting gives the same bits
     if config.schedule_dist is not None:
-        slippage = config.schedule_dist.sample_array(
-            _rng.uniforms(config.seed, SCHEDULE_TAG, start, stop)
-        )
-        delay = np.maximum(slippage - 1.0, 0.0) * config.est_duration_years
-        x = (1.0 + r) ** -delay
-    else:
-        x = np.ones(stop - start)
-
+        slippage = draw(config.schedule_dist, SCHEDULE_TAG)
+        x = (1.0 + r) ** -(np.maximum(slippage - 1.0, 0.0) * config.est_duration_years)
     if isinstance(config.shortfall, QuantileDistribution):
-        s = config.shortfall.sample_array(
-            _rng.uniforms(config.seed, SHORTFALL_TAG, start, stop)
-        )
+        s = draw(config.shortfall, SHORTFALL_TAG)
     else:
-        s = np.full(stop - start, float(config.shortfall))
-
-    return stressed_npv_bcr(pv_b, pv_c, pv_o, k, 1.0 - s, x)
+        s = float(config.shortfall)
+    return stressed_npv_bcr(*pvs, k, 1.0 - s, x)
 
 
 def run_stress(
     model: AppraisalModel,
     config: StressConfig,
     quantile_ps: Sequence[float] = DEFAULT_NPV_QUANTILES,
-    chunk_size: int = _DEFAULT_CHUNK,
-    workers: int = 1,
 ) -> StressResult:
     """Monte Carlo break probability and NPV distribution for a model.
 
-    chunk_size and workers only steer execution; the counter-based draws and
-    the order-insensitive aggregation (exact fsum, sort-based quantiles) make
-    the result bit-identical for any chunking or worker count.
+    Trials are evaluated serially in spans of _CHUNK. The counter-based draws
+    and the order-insensitive aggregation (exact fsum, sort-based quantiles)
+    make the result bit-identical for any chunking.
     """
-    if chunk_size < 1:
-        raise InputError("chunk_size must be >= 1")
-    if workers < 1:
-        raise InputError("workers must be >= 1")
+    check_levels(quantile_ps)
     n = config.n_trials
+    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
     npvs = np.empty(n)
-    breaks = np.empty(n, dtype=bool)
-
-    def fill(start: int, stop: int) -> None:
-        npv_part, bcr_part = _trial_arrays(model, config, start, stop)
+    n_broken = 0
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        npv_part, bcr_part = _trial_arrays(config, pvs, model.discount_rate, start, stop)
         npvs[start:stop] = npv_part
-        breaks[start:stop] = bcr_part < 1.0
+        n_broken += int(np.count_nonzero(bcr_part < 1.0))
+        del npv_part, bcr_part  # free this span before the next one is drawn
 
-    spans = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
-    if workers == 1 or len(spans) == 1:
-        for start, stop in spans:
-            fill(start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-
-    n_broken = int(np.count_nonzero(breaks))
     p_break = n_broken / n
     se = math.sqrt(p_break * (1.0 - p_break) / n)
     quantiles = dict(zip(map(float, quantile_ps), quantile(npvs, quantile_ps)))
@@ -280,7 +267,7 @@ def sensitivity_grid(
         row = []
         for b in benefit_mults:
             _, cell_bcr = stressed_npv_bcr(*pvs, k, b, 1.0)
-            row.append(GridCell(irr(net_stream(apply_stress(model, k, b))), cell_bcr))
+            row.append(GridCell(irr(net_stream(model, k, b)), cell_bcr))
         rows.append(tuple(row))
     return SensitivityGrid(benefit_mults, cost_mults, tuple(rows))
 

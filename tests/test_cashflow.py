@@ -15,6 +15,7 @@ from fragilis.cashflow import (
     irr,
     model_from_dict,
     model_to_dict,
+    net_stream,
     npv,
     payoff_curve,
 )
@@ -320,6 +321,14 @@ def test_apply_stress_pure_shift():
     stressed = apply_stress(m, 1.0, 1.0, 3.0)
     assert stressed.benefits.entries == ((4.0, 42.0),)
     assert stressed.capex.entries == ((0.0, 100.0),)  # capex never shifts
+
+
+def test_net_stream_multipliers_match_apply_stress():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        m = random_model(rng)
+        for k, b in ((1.0, 1.0), (1.3, 0.85), (0.9, 1.2)):
+            assert net_stream(m, k, b) == net_stream(apply_stress(m, k, b))
 
 
 # ---------------------------------------------------------------------------

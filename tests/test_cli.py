@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fragilis import datasets
+from fragilis import datasets, stress
 from fragilis.cli import RunManifest, main
 from fragilis.refclass import read_records_csv
 
@@ -67,11 +69,12 @@ def test_appraise_truncated_model_is_validation_error(tmp_path, capsys):
 # stress
 
 
-def test_stress_byte_identical_across_runs(tmp_path):
+def test_stress_byte_identical_across_runs(tmp_path, monkeypatch):
     args_common = ["stress", STYLIZED, "--dist", "big-dam", "--trials", "20000", "--seed", "7"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(args_common + ["--out", str(out1)]) == 0
-    assert run(args_common + ["--out", str(out2), "--workers", "3"]) == 0
+    monkeypatch.setattr(stress, "_CHUNK", 777)
+    assert run(args_common + ["--out", str(out2)]) == 0
     assert (out1 / "stress.json").read_bytes() == (out2 / "stress.json").read_bytes()
     assert (out1 / "stress-npv-quantiles.csv").read_bytes() == (
         out2 / "stress-npv-quantiles.csv"
@@ -101,6 +104,58 @@ def test_stress_with_schedule_and_shortfall(tmp_path):
     doc = read_json(out / "stress.json")
     assert doc["schedule_dist"] == "big-dam-schedule"
     assert 0.0 <= doc["p_break"] <= 1.0
+
+
+def test_stress_records_shortfall_and_digests_every_dist(tmp_path, monkeypatch):
+    shortfall_file = tmp_path / "shortfall.json"
+    shortfall_file.write_text(json.dumps({
+        "anchors": [{"p": 0.5, "x": 0.11}], "floor_x": 0.001,
+        "tail": {"shape": -0.25, "scale": 0.04},
+    }))
+    args = ["stress", STYLIZED, "--dist", "big-dam", "--schedule-dist", "big-dam-schedule",
+            "--duration", "8.6", "--trials", "100", "--seed", "3"]
+    out = tmp_path / "o"
+    assert run(args + ["--shortfall-dist", str(shortfall_file), "--out", str(out)]) == 0
+    assert read_json(out / "stress.json")["shortfall"] == str(shortfall_file)
+    inputs = read_json(out / "manifest-stress.json")["inputs"]
+
+    def digest(path) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    files = [STYLIZED, shortfall_file] + [
+        datasets.asset_path(f) for f in ("big-dam.json", "big-dam-schedule.json")
+    ]
+    assert inputs == {str(p): digest(p) for p in files}
+
+    assert run(args + ["--shortfall", "0.11", "--out", str(out)]) == 0
+    assert read_json(out / "stress.json")["shortfall"] == 0.11
+
+    # a bundled name is digested as the file it resolves to under FRAGILIS_DATA_DIR
+    override = tmp_path / "assets"
+    override.mkdir()
+    swapped = json.loads(datasets.asset_path("big-dam.json").read_text(encoding="utf-8"))
+    swapped["notes"] = "swapped"
+    (override / "big-dam.json").write_text(json.dumps(swapped), encoding="utf-8")
+    monkeypatch.setenv("FRAGILIS_DATA_DIR", str(override))
+    out2 = tmp_path / "o2"
+    assert run(["stress", STYLIZED, "--dist", "big-dam", "--trials", "100", "--seed", "3",
+                "--out", str(out2)]) == 0
+    inputs = read_json(out2 / "manifest-stress.json")["inputs"]
+    assert inputs == {STYLIZED: digest(STYLIZED),
+                      str(override / "big-dam.json"): digest(override / "big-dam.json")}
+
+
+def test_stress_trials_above_cap_rejected_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = run(["stress", STYLIZED, "--dist", "big-dam", "--trials", str(10**12),
+                  "--seed", "1", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert peak < 10_000_000
 
 
 def test_stress_unknown_dist_is_validation_error(tmp_path):
@@ -336,7 +391,7 @@ def test_data_dir_override(tmp_path, monkeypatch):
     src = Path(datasets.asset_path("big-dam.json"))
     (override / "big-dam.json").write_text(src.read_text(), encoding="utf-8")
     monkeypatch.setenv("FRAGILIS_DATA_DIR", str(override))
-    dist = datasets.load_named_dist("big-dam")
+    dist = datasets.resolve_dist("big-dam")
     assert dist.quantile(0.8) == 1.99
     with pytest.raises(Exception, match="not found"):
         datasets.asset_path("stylized-dam.json")

@@ -89,6 +89,17 @@ def test_kde_zero_variance_demands_bandwidth():
     assert isinstance(trace, DensityTrace)
 
 
+def test_kde_rejects_non_finite_sample():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="non-finite") as info:
+            kde([1.0, bad, 2.0, 3.0])
+        assert type(info.value) is InputError
+        with pytest.raises(InputError, match="non-finite"):
+            kde([1.0, bad, 2.0, 3.0], bandwidth=0.5)
+        with pytest.raises(InputError, match="non-finite"):
+            silverman_bandwidth([bad])
+
+
 def test_kde_silverman_iqr_fallback():
     # IQR 0 but positive sd: the rule falls back to sd instead of h=0
     sample = [1.0] * 10 + [2.0]

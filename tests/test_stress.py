@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fragilis import _rng
+from fragilis import _rng, stress
 from fragilis.cashflow import AppraisalModel, CashFlowStream, apply_stress, bcr, irr, net_stream, npv
 from fragilis.datasets import build_stylized_model
 from fragilis.dists import build_quantile_dist
@@ -11,6 +12,7 @@ from fragilis.errors import InputError
 from fragilis.stress import (
     CAPEX_TAG,
     DEFAULT_NPV_QUANTILES,
+    MAX_TRIALS,
     SCHEDULE_TAG,
     SHORTFALL_TAG,
     StressConfig,
@@ -84,7 +86,7 @@ def test_run_stress_agrees_with_analytic_over_seeds(canonical_dist):
         assert abs(result.p_break - expected) <= 3 * se
 
 
-def test_run_stress_deterministic_across_chunks_and_workers(canonical_dist):
+def test_run_stress_deterministic_across_chunks(canonical_dist, monkeypatch):
     model = build_stylized_model()
     for seed in (0, 1, 2, 3, 4):
         config = StressConfig(
@@ -95,11 +97,23 @@ def test_run_stress_deterministic_across_chunks_and_workers(canonical_dist):
             est_duration_years=8.6,
             shortfall=0.05,
         )
-        outputs = {
-            run_stress(model, config, chunk_size=chunk, workers=w).to_json()
-            for chunk, w in ((10_000, 1), (1000, 1), (777, 3), (256, 4))
-        }
+        outputs = set()
+        for chunk in (10_000, 1000, 777, 256):
+            monkeypatch.setattr(stress, "_CHUNK", chunk)
+            outputs.add(run_stress(model, config).to_json())
         assert len(outputs) == 1
+
+
+def test_run_stress_checks_levels_before_any_draw(canonical_dist, monkeypatch):
+    calls = []
+    real_uniforms = _rng.uniforms
+    monkeypatch.setattr(_rng, "uniforms", lambda *a: calls.append(a) or real_uniforms(*a))
+    config = StressConfig(n_trials=1000, seed=1, capex_dist=canonical_dist)
+    with pytest.raises(InputError, match="quantile level"):
+        run_stress(bcr_model(1.4), config, quantile_ps=(0.5, 1.5))
+    assert calls == []
+    run_stress(bcr_model(1.4), config)  # the spy does see a valid run's draws
+    assert calls
 
 
 def test_run_stress_vectorized_matches_literal_path(canonical_dist):
@@ -179,6 +193,18 @@ def test_stress_config_validation(canonical_dist):
         unbounded = build_quantile_dist([(0.5, 0.2)], floor_x=0.01,
                                         tail_shape=0.1, tail_scale=0.1)
         StressConfig(n_trials=10, seed=1, capex_dist=canonical_dist, shortfall=unbounded)
+
+
+def test_stress_config_caps_trials_before_allocating(canonical_dist):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="n_trials"):
+            StressConfig(n_trials=MAX_TRIALS + 1, seed=1, capex_dist=canonical_dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert StressConfig(n_trials=MAX_TRIALS, seed=1, capex_dist=canonical_dist).n_trials == MAX_TRIALS
 
 
 def test_stress_config_round_trip(canonical_dist):
