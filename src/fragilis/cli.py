@@ -2,7 +2,9 @@
 
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
 report. Every run writes its JSON/CSV artifacts plus a run manifest (command
-line, input digests, seed, version, timestamp) into the --out directory.
+line, input digests, seed, version, timestamp) into the --out directory; the
+stress manifest also records how the run went (wall time, trials per second,
+peak RSS, Python and numpy versions).
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -13,9 +15,12 @@ import hashlib
 import json
 import secrets
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, charts, datasets
 from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
@@ -44,15 +49,19 @@ class RunManifest:
     seed: int | None
     version: str
     timestamp: str
+    run: dict | None = None  # how the run went; stress only, see _stress_run_stats
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "command": list(self.command),
             "inputs": dict(self.inputs),
             "seed": self.seed,
             "version": self.version,
             "timestamp": self.timestamp,
         }
+        if self.run is not None:
+            doc["run"] = dict(self.run)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "RunManifest":
@@ -62,6 +71,7 @@ class RunManifest:
             seed=doc["seed"],
             version=doc["version"],
             timestamp=doc["timestamp"],
+            run=doc.get("run"),
         )
 
 
@@ -79,15 +89,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit_manifest(args, command: str, inputs: list[Path], seed: int | None = None) -> None:
+def _emit_manifest(
+    args, command: str, inputs: list[Path], seed: int | None = None, run: dict | None = None
+) -> None:
     manifest = RunManifest(
         command=tuple(getattr(args, "argv", None) or [command]),
         inputs={str(p): _sha256(p) for p in inputs},
         seed=seed,
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        run=run,
     )
     _write_json(_out_dir(args) / f"manifest-{command}.json", manifest.to_dict())
+
+
+def _stress_run_stats(wall_s: float, n_trials: int) -> dict:
+    """Wall time and throughput of run_stress, the process's peak RSS so far,
+    and the runtime versions."""
+    import resource  # POSIX only; loaded when a stress run reports, not at import
+
+    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+    return {
+        "wall_s": wall_s,
+        "trials_per_s": n_trials / wall_s,
+        "peak_rss_mb": max_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+    }
 
 
 def _input_file(name: str, role: str) -> Path:
@@ -265,7 +293,9 @@ def cmd_stress(args) -> None:
         est_duration_years=args.duration,
         shortfall=shortfall,
     )
+    started = time.perf_counter()
     result = run_stress(model, config)
+    wall_s = time.perf_counter() - started
     out = _out_dir(args)
     doc = result.to_dict()
     doc["source"] = str(path)
@@ -278,7 +308,7 @@ def cmd_stress(args) -> None:
     (out / "stress-npv-quantiles.csv").write_text(result.quantiles_csv(), encoding="utf-8")
     dists = (args.dist, args.schedule_dist, args.shortfall_dist)
     inputs = [path] + [datasets.dist_path(d) for d in dists if d]
-    _emit_manifest(args, "stress", inputs, seed=seed)
+    _emit_manifest(args, "stress", inputs, seed, _stress_run_stats(wall_s, result.n_trials))
     print(
         f"p_break={result.p_break:.4f} (se {result.p_break_se:.4f}) "
         f"over {result.n_trials} trials, seed {seed}"

@@ -105,29 +105,32 @@ class QuantileDistribution:
         return float(self.quantile_array(np.asarray([p], dtype=float))[0])
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+        """Inverse CDF at every level of p, any shape; anchors are returned exactly."""
+        shape = np.shape(p)
+        p = np.asarray(p, dtype=float).reshape(-1)
         if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails the check too
             raise InputError("quantile levels must lie strictly inside (0, 1)")
         ps, xs = (np.asarray(nodes, dtype=float) for nodes in self._nodes())
         log_xs = np.log(xs)
         p_last = ps[-1]
-        out = np.empty_like(p)
 
-        body = p <= p_last
-        if np.any(body):
-            pb = p[body]
-            idx = np.searchsorted(ps, pb, side="left")
-            lo = idx - 1
-            frac = (pb - ps[lo]) / (ps[idx] - ps[lo])
-            out[body] = np.exp(log_xs[lo] + frac * (log_xs[idx] - log_xs[lo]))
-            exact = ps[idx] == pb  # pin anchors exactly, no exp/log round trip
-            out_body = out[body]
-            out_body[exact] = xs[idx][exact]
-            out[body] = out_body
+        # Segment [ps[j], ps[j+1]] holding each level: the count of interior
+        # nodes below it (an anchor level lands on the segment it closes).
+        seg = np.zeros(p.shape, dtype=np.min_scalar_type(len(ps)))
+        for node in ps[1:-1]:
+            seg += p > node
+        seg = seg.astype(np.intp)
+        # Tail levels run on past the last segment here, possibly to inf; the
+        # tail formula below overwrites them.
+        with np.errstate(over="ignore"):
+            frac = (p - ps[:-1].take(seg)) / np.diff(ps).take(seg)
+            out = np.exp(log_xs[:-1].take(seg) + frac * np.diff(log_xs).take(seg))
+        exact = np.flatnonzero(p == ps[1:].take(seg))  # pin anchors, no exp/log round trip
+        out.put(exact, xs[1:].take(seg.take(exact)))
 
-        tail = ~body
-        if np.any(tail):
-            q = (p[tail] - p_last) / (1.0 - p_last)
+        tail = np.flatnonzero(p > p_last)
+        if tail.size:
+            q = (p.take(tail) - p_last) / (1.0 - p_last)
             if self.tail.shape == 0.0:
                 excess = -self.tail.scale * np.log1p(-q)
             else:
@@ -136,8 +139,8 @@ class QuantileDistribution:
                     / self.tail.shape
                     * ((1.0 - q) ** -self.tail.shape - 1.0)
                 )
-            out[tail] = xs[-1] + excess
-        return out
+            out.put(tail, xs[-1] + excess)
+        return out.reshape(shape)
 
     def cdf(self, x: float) -> float:
         """P(X <= x), inverting the piecewise quantile function."""

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fragilis import datasets, stress
@@ -88,6 +90,52 @@ def test_stress_generates_and_records_seed(tmp_path):
     manifest = read_json(out / "manifest-stress.json")
     assert isinstance(doc["seed"], int)
     assert manifest["seed"] == doc["seed"]
+
+
+def test_stress_manifest_records_how_the_run_went(tmp_path):
+    out = tmp_path / "o"
+    assert run(["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "2",
+                "--out", str(out)]) == 0
+    run_doc = read_json(out / "manifest-stress.json")["run"]
+    assert set(run_doc) == {"wall_s", "trials_per_s", "peak_rss_mb", "python", "numpy"}
+    assert run_doc["wall_s"] > 0
+    assert run_doc["trials_per_s"] == pytest.approx(1000 / run_doc["wall_s"])
+    assert 1 < run_doc["peak_rss_mb"] < 100_000
+    assert run_doc["python"] == sys.version.split()[0]
+    assert run_doc["numpy"] == np.__version__
+    # only the manifest carries it: stress.json stays a pure function of the inputs
+    assert not {"run", "wall_s", "peak_rss_mb"} & set(read_json(out / "stress.json"))
+    manifest = RunManifest.from_dict(read_json(out / "manifest-stress.json"))
+    assert manifest.to_dict() == read_json(out / "manifest-stress.json")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("capex, message", [
+    (1e308, "a trial NPV is not finite"),  # overruns above 1 overflow capex to inf
+    (1e306, "the sum of the trial NPVs overflows a float"),  # each NPV finite, the sum not
+])
+def test_stress_overflowing_model_is_computation_error(tmp_path, capsys, capex, message):
+    doc = json.loads(Path(STYLIZED).read_text(encoding="utf-8"))
+    doc["capex"] = [{"t": 0.0, "amount": capex}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    rc = run(["stress", str(model), "--dist", "big-dam", "--trials", "1000", "--seed", "1",
+              "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"computation error: {message}") and err.count("\n") == 1
+    assert not (out / "stress.json").exists()
+
+
+def test_stress_infinite_duration_is_validation_error(tmp_path, capsys):
+    for duration in ("inf", "nan"):
+        rc = run(["stress", STYLIZED, "--dist", "big-dam", "--schedule-dist", "big-dam-schedule",
+                  "--duration", duration, "--trials", "1000", "--seed", "1",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "finite est_duration_years" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "stress.json").exists()
 
 
 def test_stress_with_schedule_and_shortfall(tmp_path):
@@ -337,6 +385,13 @@ def test_grid_command(tmp_path):
     assert doc["irr"][1][1] < base_irr  # falls with costs
     csv_text = (out / "grid.csv").read_text()
     assert csv_text.splitlines()[0].endswith("0.85,1,1.15")
+
+
+def test_grid_non_finite_multiplier_is_validation_error(tmp_path, capsys):
+    for flag, raw in (("--benefit-mults", "nan,1"), ("--cost-mults", "1,inf")):
+        rc = run(["grid", STYLIZED, flag, raw, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "grid multipliers must be positive and finite" in capsys.readouterr().err
 
 
 def test_contingency_command(tmp_path):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from fragilis.datasets import BIG_DAM_ANCHORS, BIG_DAM_FLOOR, BIG_DAM_MEAN
+from fragilis import _rng
+from fragilis.datasets import BIG_DAM_ANCHORS, BIG_DAM_FLOOR, BIG_DAM_MEAN, resolve_dist
 from fragilis.dists import (
     GeneralizedParetoTail,
     build_quantile_dist,
@@ -137,6 +139,82 @@ def test_sample_domain_errors(canonical_dist):
             canonical_dist.quantile_array(np.array([0.5, u]))
     with pytest.raises(InputError):
         canonical_dist.cdf(math.nan)
+
+
+def _quantile_array_oracle(dist, p):
+    """The searchsorted and boolean-mask inverse CDF that quantile_array
+    replaced, kept as its bit-level reference."""
+    p = np.asarray(p, dtype=float)
+    ps, xs = (np.asarray(nodes, dtype=float) for nodes in dist._nodes())
+    log_xs = np.log(xs)
+    p_last = ps[-1]
+    out = np.empty_like(p)
+    body = p <= p_last
+    if np.any(body):
+        pb = p[body]
+        idx = np.searchsorted(ps, pb, side="left")
+        lo = idx - 1
+        frac = (pb - ps[lo]) / (ps[idx] - ps[lo])
+        out[body] = np.exp(log_xs[lo] + frac * (log_xs[idx] - log_xs[lo]))
+        exact = ps[idx] == pb
+        out_body = out[body]
+        out_body[exact] = xs[idx][exact]
+        out[body] = out_body
+    tail = ~body
+    if np.any(tail):
+        q = (p[tail] - p_last) / (1.0 - p_last)
+        if dist.tail.shape == 0.0:
+            excess = -dist.tail.scale * np.log1p(-q)
+        else:
+            excess = dist.tail.scale / dist.tail.shape * ((1.0 - q) ** -dist.tail.shape - 1.0)
+        out[tail] = xs[-1] + excess
+    return out
+
+
+def _oracle_dists():
+    return {
+        "big-dam": resolve_dist("big-dam"),
+        "big-dam-schedule": resolve_dist("big-dam-schedule"),
+        "one anchor, zero shape": build_quantile_dist(
+            [(0.5, 1.0)], floor_x=0.5, tail_shape=0.0, tail_scale=0.3),
+        "one anchor, negative shape": build_quantile_dist(
+            [(0.5, 0.11)], floor_x=0.001, tail_shape=-0.25, tail_scale=0.04),
+        # exp(log(3.0)) != 3.0, so only pinning returns that anchor exactly
+        "anchor at 1e-300, positive shape": build_quantile_dist(
+            [(1e-300, 1.0), (0.3, 3.0), (0.999, 9.0)], floor_x=0.2,
+            tail_shape=0.9, tail_scale=5.0),
+        # a last segment one ulp wide: tail levels run its slope far past the float range
+        "one-ulp last segment": build_quantile_dist(
+            [(0.5, 1.0), (float(np.nextafter(0.5, 1.0)), 2.0)], floor_x=0.5,
+            tail_shape=0.3, tail_scale=0.1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_dists()))
+def test_quantile_array_bit_identical_to_oracle(name):
+    dist = _oracle_dists()[name]
+    anchors = np.array(dist.anchor_ps)
+    levels = np.concatenate([
+        anchors,
+        np.nextafter(anchors, 0.0),
+        np.nextafter(anchors, 1.0),
+        [5e-324, 1e-300, 1e-16, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)],
+        _rng.uniforms(3, 1, 0, 20_000),
+        1.0 - _rng.uniforms(4, 1, 0, 2_000) * 1e-9,
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = dist.quantile_array(levels)
+    expected = _quantile_array_oracle(dist, levels)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    for p, x in zip(dist.anchor_ps, dist.anchor_xs):
+        assert dist.quantile(p) == x
+    # any input shape, as before: a 2-D block and a 0-d level
+    block = levels[:600].reshape(20, 30)
+    assert np.array_equal(dist.quantile_array(block), _quantile_array_oracle(dist, block))
+    scalar = dist.quantile_array(np.float64(0.7))
+    assert scalar.shape == () and scalar == _quantile_array_oracle(dist, np.float64(0.7))
 
 
 def test_bounded_negative_shape_tail():

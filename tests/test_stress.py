@@ -1,14 +1,18 @@
+import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragilis import _rng, stress
 from fragilis.cashflow import AppraisalModel, CashFlowStream, apply_stress, bcr, irr, net_stream, npv
-from fragilis.datasets import build_stylized_model
+from fragilis.datasets import build_stylized_model, resolve_dist
 from fragilis.dists import build_quantile_dist
-from fragilis.errors import InputError
+from fragilis.errors import ComputeError, InputError
 from fragilis.stress import (
     CAPEX_TAG,
     DEFAULT_NPV_QUANTILES,
@@ -104,6 +108,113 @@ def test_run_stress_deterministic_across_chunks(canonical_dist, monkeypatch):
         assert len(outputs) == 1
 
 
+# SHA-256 of run_stress(...).to_json() for the stylized dam, seed 7, n = 262,145
+# trials (one past a _CHUNK span). Frozen from the searchsorted inverse CDF and
+# math.fsum mean; a speedup that changes any output bit fails here.
+GOLDEN_STRESS_SHA256 = {
+    "capex": "2ea3b2c45fe0c2e135f2a5220a1655c354e76e21bb299335bb90240ad95a5c8f",
+    "full": "f422444504007c6b2bdaa8a5ed0b63410f55d056c91eb37848a800e102e8858a",
+    "shortfall_dist": "3e40a047301f3d7691c8e2022d53b137c2d5924895c8ce5c4152704ffb254e94",
+}
+
+
+def test_run_stress_golden_digests():
+    capex, schedule = resolve_dist("big-dam"), resolve_dist("big-dam-schedule")
+    shortfall_dist = build_quantile_dist(
+        [(0.5, 0.11)], floor_x=0.001, tail_shape=-0.25, tail_scale=0.04
+    )
+    n, seed = 262_145, 7
+    configs = {
+        "capex": StressConfig(n, seed, capex),
+        "full": StressConfig(n, seed, capex, schedule, 8.6, 0.11),
+        "shortfall_dist": StressConfig(n, seed, capex, schedule, 8.6, shortfall_dist),
+    }
+    model = build_stylized_model()
+    digests = {
+        shape: hashlib.sha256(run_stress(model, config).to_json().encode()).hexdigest()
+        for shape, config in configs.items()
+    }
+    assert digests == GOLDEN_STRESS_SHA256
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_stress_non_finite_npv_is_compute_error(canonical_dist):
+    # capex 1e308 times an overrun above 1 overflows to inf in the trial NPV
+    model = AppraisalModel(
+        capex=CashFlowStream(((0.0, 1e308),)),
+        benefits=CashFlowStream(((1.0, 100.0),)),
+        discount_rate=0.1,
+    )
+    config = StressConfig(n_trials=1000, seed=1, capex_dist=canonical_dist)
+    with pytest.raises(ComputeError, match="not finite"):
+        run_stress(model, config)
+
+
+def test_run_stress_npv_sum_overflow_is_compute_error():
+    # every trial NPV is about -1e306, finite, but 1000 of them sum past the float range
+    model = AppraisalModel(
+        capex=CashFlowStream(((0.0, 1e306),)),
+        benefits=CashFlowStream(((1.0, 100.0),)),
+        discount_rate=0.1,
+    )
+    config = StressConfig(n_trials=1000, seed=1, capex_dist=near_degenerate_dist(1.0))
+    with pytest.raises(ComputeError, match="overflows"):
+        run_stress(model, config)
+
+
+# ---------------------------------------------------------------------------
+# exact sum
+
+_EDGE_FLOATS = (0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.1)
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+
+
+def _exact_sum(spans) -> float:
+    acc = stress._ExactSum()
+    for span in spans:
+        acc.add(np.asarray(span, dtype=float))
+    return acc.value()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_FINITE, max_size=60), st.data())
+def test_exact_sum_equals_fsum(values, data):
+    if data.draw(st.booleans(), label="cancel"):  # heavy cancellation
+        mirrored = [-v for v in values]
+        values = values + data.draw(st.permutations(mirrored)) + data.draw(
+            st.lists(_FINITE, max_size=2))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6), label="cuts"))
+    spans = np.split(np.array(values, dtype=float), cuts)
+    spans = data.draw(st.permutations(spans), label="span order")
+    try:
+        expected = math.fsum(values)
+    except OverflowError:  # fsum gives up on intermediate overflow; the exact sum may fit
+        exact = sum(map(Fraction, values), Fraction(0))
+        try:
+            expected = float(exact)
+        except OverflowError:
+            with pytest.raises(ComputeError, match="overflows"):
+                _exact_sum(spans)
+            return
+    assert _exact_sum(spans) == expected  # equal nonzero floats have equal bits
+
+
+def test_exact_sum_rejects_non_finite_values():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ComputeError, match="not finite"):
+            _exact_sum([[1.0, 2.0], [3.0, bad]])
+
+
+def test_exact_sum_large_spans_match_fsum():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(1_000_003) * 10.0 ** rng.integers(-300, 300, 1_000_003)
+    expected = math.fsum(values)
+    assert _exact_sum(np.array_split(values, 4)) == expected
+    assert _exact_sum([values]) == expected
+
+
 def test_run_stress_checks_levels_before_any_draw(canonical_dist, monkeypatch):
     calls = []
     real_uniforms = _rng.uniforms
@@ -193,6 +304,10 @@ def test_stress_config_validation(canonical_dist):
         unbounded = build_quantile_dist([(0.5, 0.2)], floor_x=0.01,
                                         tail_shape=0.1, tail_scale=0.1)
         StressConfig(n_trials=10, seed=1, capex_dist=canonical_dist, shortfall=unbounded)
+    for duration in (math.inf, math.nan, -1.0):
+        with pytest.raises(InputError, match="finite est_duration_years"):
+            StressConfig(n_trials=10, seed=1, capex_dist=canonical_dist,
+                         schedule_dist=near_degenerate_dist(1.2), est_duration_years=duration)
 
 
 def test_stress_config_caps_trials_before_allocating(canonical_dist):
@@ -363,6 +478,11 @@ def test_grid_absent_irr_cell_still_returned():
 def test_grid_validation():
     with pytest.raises(InputError):
         sensitivity_grid(build_stylized_model(), [0.0], [1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="positive and finite"):
+            sensitivity_grid(build_stylized_model(), [bad, 1.0], [1.0])
+        with pytest.raises(InputError, match="positive and finite"):
+            sensitivity_grid(build_stylized_model(), [1.0], [1.0, bad])
 
 
 # ---------------------------------------------------------------------------
