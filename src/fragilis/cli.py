@@ -27,11 +27,9 @@ from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
 from .errors import ComputeError, InputError
 from .refclass import (
     ReferenceClass,
-    cost_overrun_ratio,
     decade_label,
     group_stats,
     read_records_csv,
-    schedule_slippage,
     summarize,
 )
 from .stats import kde, mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
@@ -179,7 +177,8 @@ def cmd_stats(args) -> None:
 
 def cmd_density(args) -> None:
     ref, path = _load_records(args)
-    trace = kde(ref.ratios(args.metric), bandwidth=args.bandwidth)
+    ratios = ref.ratios(args.metric)
+    trace = kde(ratios, bandwidth=args.bandwidth)
     out = _out_dir(args)
     csv_path = out / "density.csv"
     lines = ["value,density"] + [f"{v!r},{d!r}" for v, d in trace.to_csv_rows()]
@@ -189,7 +188,7 @@ def cmd_density(args) -> None:
         {
             "source": str(path),
             "metric": args.metric,
-            "n": len(ref.ratios(args.metric)),
+            "n": len(ratios),
             "bandwidth": trace.bandwidth,
             "grid_points": len(trace.grid),
             "csv": csv_path.name,
@@ -223,10 +222,9 @@ def cmd_test(args) -> None:
             "n_under": len(under),
         }
     elif args.test == "decades":
-        metric_fn = cost_overrun_ratio if args.metric == "cost" else schedule_slippage
         by_decade: dict[str, list[float]] = {}
-        for rec in ref.records:
-            by_decade.setdefault(decade_label(rec.decision_year), []).append(metric_fn(rec))
+        for rec, ratio in zip(ref.records, ratios):  # cost and schedule: one ratio per record
+            by_decade.setdefault(decade_label(rec.decision_year), []).append(ratio)
         keys = sorted(by_decade)
         result = one_way_f([by_decade[k] for k in keys]).to_dict()
         context = {"groups": keys, "comparison": "ratio means across decades"}

@@ -141,9 +141,6 @@ class ReferenceClass:
         fn = _METRICS[metric]
         return [r for r in map(fn, self.records) if r is not None]
 
-    def filtered(self, predicate) -> "ReferenceClass":
-        return ReferenceClass(tuple(r for r in self.records if predicate(r)), self.label)
-
 
 def deflate(
     nominal: Sequence[tuple[int, float]],
@@ -321,81 +318,58 @@ class IngestResult:
         return len(self.errors)
 
 
-def _parse_row(row: dict[str, str], line: int) -> ProjectRecord:
-    def fail(fieldname: str, message: str):
-        raise _RowParseError(RowError(line, fieldname, message))
+def _optional_float(raw: str) -> float | None:
+    return float(raw) if raw else None
 
-    missing = [c for c in CSV_COLUMNS if row.get(c) is None]
-    if missing:
-        fail(missing[0], "missing column value")
 
-    def req_float(fieldname: str) -> float:
-        raw = row[fieldname].strip()
+# (parser, message for a value it rejects) per column, in CSV_COLUMNS order;
+# ProjectRecord(*values) relies on that order matching its fields.
+_NOT_A_NUMBER = "not a number: {!r}"
+_COLUMN_PARSERS = (
+    *[(str, "")] * 3,
+    (Region, "unknown region {!r}; expected one of: " + ", ".join(r.value for r in Region)),
+    (str, ""),
+    (int, "not an integer year: {!r}"),
+    *[(float, _NOT_A_NUMBER)] * 4,
+    *[(_optional_float, _NOT_A_NUMBER)] * 2,
+)
+
+
+def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
+    """The record in one CSV row, or the first problem with it. Columns are
+    checked in order; fields past the last column are ignored."""
+    if len(fields) < len(CSV_COLUMNS):
+        return RowError(line, CSV_COLUMNS[len(fields)], "missing column value")
+    values = []
+    for name, raw, (parse, message) in zip(CSV_COLUMNS, fields, _COLUMN_PARSERS):
+        raw = raw.strip()
         try:
-            return float(raw)
+            values.append(parse(raw))
         except ValueError:
-            fail(fieldname, f"not a number: {raw!r}")
-
-    def opt_float(fieldname: str) -> float | None:
-        raw = row[fieldname].strip()
-        if raw == "":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            fail(fieldname, f"not a number: {raw!r}")
-
-    raw_region = row["region"].strip()
+            return RowError(line, name, message.format(raw))
     try:
-        region = Region(raw_region)
-    except ValueError:
-        allowed = ", ".join(r.value for r in Region)
-        fail("region", f"unknown region {raw_region!r}; expected one of: {allowed}")
-
-    raw_year = row["decision_year"].strip()
-    try:
-        year = int(raw_year)
-    except ValueError:
-        fail("decision_year", f"not an integer year: {raw_year!r}")
-
-    try:
-        return ProjectRecord(
-            id=row["id"].strip(),
-            name=row["name"].strip(),
-            country=row["country"].strip(),
-            region=region,
-            project_type=row["project_type"].strip(),
-            decision_year=year,
-            est_cost=req_float("est_cost"),
-            act_cost=req_float("act_cost"),
-            est_months=req_float("est_months"),
-            act_months=req_float("act_months"),
-            est_benefit=opt_float("est_benefit"),
-            act_benefit=opt_float("act_benefit"),
-        )
+        return ProjectRecord(*values)
     except InputError as exc:
-        fail("(record)", str(exc))
-
-
-class _RowParseError(Exception):
-    def __init__(self, error: RowError):
-        self.error = error
+        return RowError(line, "(record)", str(exc))
 
 
 def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict: bool = True) -> IngestResult:
     """Parse a reference-class CSV.
 
-    Strict mode raises InputError on the first malformed row; lenient mode
-    skips bad rows and returns them as row-numbered diagnostics.
+    The header must list CSV_COLUMNS in order, surrounding spaces ignored;
+    row fields are then read by position. Strict mode raises InputError on
+    the first malformed row; lenient mode skips bad rows and returns them as
+    row-numbered diagnostics.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             return read_records_csv(fh, label=label or Path(source).stem, strict=strict)
 
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
         raise InputError("CSV is empty: header row required")
-    header = tuple(c.strip() for c in reader.fieldnames)
+    header = tuple(c.strip() for c in header)
     if header != CSV_COLUMNS:
         raise InputError(
             f"bad CSV header: expected {','.join(CSV_COLUMNS)} got {','.join(header)}"
@@ -403,52 +377,35 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
 
     records: dict[str, ProjectRecord] = {}
     errors: list[RowError] = []
-    for row in reader:
+    for fields in reader:
+        if not fields:  # csv.reader yields [] for a blank line
+            continue
         # line_num tracks physical lines, so multi-line quoted fields still
         # produce accurate diagnostics
-        try:
-            rec = _parse_row(row, reader.line_num)
-            if rec.id in records:
-                raise _RowParseError(
-                    RowError(reader.line_num, "id", f"duplicate record id {rec.id!r}")
-                )
-            records[rec.id] = rec
-        except _RowParseError as exc:
-            if strict:
-                raise InputError(str(exc.error)) from None
-            errors.append(exc.error)
+        parsed = _parse_row(fields, reader.line_num)
+        if isinstance(parsed, ProjectRecord):
+            if parsed.id not in records:
+                records[parsed.id] = parsed
+                continue
+            parsed = RowError(reader.line_num, "id", f"duplicate record id {parsed.id!r}")
+        if strict:
+            raise InputError(str(parsed))
+        errors.append(parsed)
     return IngestResult(ReferenceClass(tuple(records.values()), label=label), tuple(errors))
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
-
-
 def write_records_csv(ref: ReferenceClass, target: str | Path | io.TextIOBase) -> None:
-    """Serialize a reference class back to the canonical CSV schema. Floats
-    are written with repr so a read-back round-trips field-exact."""
+    """Serialize a reference class back to the canonical CSV schema.
+    csv.writer writes floats with repr and None as an empty field, so a
+    read-back round-trips field-exact."""
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
             write_records_csv(ref, fh)
             return
     writer = csv.writer(target)
     writer.writerow(CSV_COLUMNS)
-    for r in ref.records:
-        writer.writerow(
-            [
-                r.id,
-                r.name,
-                r.country,
-                r.region.value,
-                r.project_type,
-                r.decision_year,
-                _fmt(r.est_cost),
-                _fmt(r.act_cost),
-                _fmt(r.est_months),
-                _fmt(r.act_months),
-                _fmt(r.est_benefit),
-                _fmt(r.act_benefit),
-            ]
-        )
+    writer.writerows(
+        (r.id, r.name, r.country, r.region.value, r.project_type, r.decision_year,
+         r.est_cost, r.act_cost, r.est_months, r.act_months, r.est_benefit, r.act_benefit)
+        for r in ref.records
+    )

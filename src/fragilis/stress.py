@@ -79,6 +79,8 @@ class StressConfig:
                     "schedule stress needs a finite est_duration_years > 0 to turn "
                     f"slippage into delay, got {duration}"
                 )
+        elif self.est_duration_years is not None:
+            raise InputError("est_duration_years applies only with a schedule_dist; none given")
         if isinstance(self.shortfall, QuantileDistribution):
             upper = _support_upper(self.shortfall)
             if not upper <= 1.0:
@@ -247,7 +249,8 @@ def run_stress(
     n_broken = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        npv_part, bcr_part = _trial_arrays(config, pvs, model.discount_rate, start, stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # total.add rejects non-finite NPVs
+            npv_part, bcr_part = _trial_arrays(config, pvs, model.discount_rate, start, stop)
         total.add(npv_part)
         npvs[start:stop] = npv_part
         n_broken += int(np.count_nonzero(bcr_part < 1.0))

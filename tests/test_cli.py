@@ -109,7 +109,7 @@ def test_stress_manifest_records_how_the_run_went(tmp_path):
     assert manifest.to_dict() == read_json(out / "manifest-stress.json")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("capex, message", [
     (1e308, "a trial NPV is not finite"),  # overruns above 1 overflow capex to inf
     (1e306, "the sum of the trial NPVs overflows a float"),  # each NPV finite, the sum not
@@ -135,6 +135,14 @@ def test_stress_infinite_duration_is_validation_error(tmp_path, capsys):
                   "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "finite est_duration_years" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "stress.json").exists()
+
+
+def test_stress_duration_without_schedule_is_validation_error(tmp_path, capsys):
+    rc = run(["stress", STYLIZED, "--dist", "big-dam", "--duration", "8.6",
+              "--trials", "1000", "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "est_duration_years applies only with a schedule_dist" in capsys.readouterr().err
     assert not (tmp_path / "o" / "stress.json").exists()
 
 

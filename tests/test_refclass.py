@@ -366,3 +366,55 @@ def test_csv_optional_benefits_empty_string():
     result = read_records_csv(io.StringIO(text))
     rec = result.reference_class.records[0]
     assert rec.est_benefit is None and rec.act_benefit is None
+
+
+# One row of each kind the ingest must tell apart. The expected diagnostics
+# were recorded from the earlier name-keyed (DictReader) reader, so they pin
+# the (row, field, message) format and the order in which columns are checked.
+GOLDEN_CSV = "\n".join([
+    CSV_HEADER,
+    "A,Alpha Dam,Norway,Europe,hydroelectric,1975,100,150,60,80,,",
+    "B,Beta,X,Asia,road,1980,abc,2,3,4,,",
+    "C,Gamma,X,Atlantis,road,1990,1,2,3,4,,",
+    "D,Delta,X,Africa,road,1990.5,1,2,3,4,,",
+    "E,Epsilon,X,Asia,road,1990,0,2,3,4,,",
+    "F,Short,X,Asia,road",
+    "A,Duplicate,X,Asia,road,1990,1,2,3,4,,",
+    "",
+    "G, Extra ,X, Oceania ,rail, 2001 , 10 ,12,24,30,5,4,surplus",
+    'H,"Multi',
+    'line",X,SouthAmerica,bridge,1999,7,9,12,18,,',
+    "I,Late,X,Asia,road,1990,1,2,3,4,x,",
+]) + "\n"
+
+GOLDEN_ERRORS = [
+    (3, "est_cost", "not a number: 'abc'"),
+    (4, "region", "unknown region 'Atlantis'; expected one of: "
+                  "NorthAmerica, SouthAmerica, Africa, Asia, Europe, Oceania"),
+    (5, "decision_year", "not an integer year: '1990.5'"),
+    (6, "(record)", "est_cost must be a positive number, got 0.0"),
+    (7, "decision_year", "missing column value"),
+    (8, "id", "duplicate record id 'A'"),
+    (13, "est_benefit", "not a number: 'x'"),
+]
+
+
+def test_csv_ingest_golden_diagnostics():
+    result = read_records_csv(io.StringIO(GOLDEN_CSV), strict=False)
+    assert [(e.row, e.field, e.message) for e in result.errors] == GOLDEN_ERRORS
+    records = result.reference_class.records
+    assert [r.id for r in records] == ["A", "G", "H"]
+    assert records[1] == ProjectRecord("G", "Extra", "X", Region.OCEANIA, "rail", 2001,
+                                       10.0, 12.0, 24.0, 30.0, 5.0, 4.0)
+    assert records[2].name == "Multi\nline"
+    with pytest.raises(InputError) as exc:
+        read_records_csv(io.StringIO(GOLDEN_CSV), strict=True)
+    assert str(exc.value) == "row 3, field 'est_cost': not a number: 'abc'"
+
+
+def test_csv_spaced_header_ingests_rows():
+    text = ", ".join(CSV_HEADER.split(",")) + "\nA,Dam,X,Asia,road,1990,1,2,3,4,,\n"
+    for strict in (True, False):
+        result = read_records_csv(io.StringIO(text), strict=strict)
+        assert result.errors == ()
+        assert [r.id for r in result.reference_class.records] == ["A"]

@@ -137,7 +137,7 @@ def test_run_stress_golden_digests():
     assert digests == GOLDEN_STRESS_SHA256
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_stress_non_finite_npv_is_compute_error(canonical_dist):
     # capex 1e308 times an overrun above 1 overflows to inf in the trial NPV
     model = AppraisalModel(
@@ -308,6 +308,8 @@ def test_stress_config_validation(canonical_dist):
         with pytest.raises(InputError, match="finite est_duration_years"):
             StressConfig(n_trials=10, seed=1, capex_dist=canonical_dist,
                          schedule_dist=near_degenerate_dist(1.2), est_duration_years=duration)
+    with pytest.raises(InputError, match="est_duration_years applies only with a schedule"):
+        StressConfig(n_trials=10, seed=1, capex_dist=canonical_dist, est_duration_years=8.6)
 
 
 def test_stress_config_caps_trials_before_allocating(canonical_dist):
