@@ -302,13 +302,11 @@ def apply_stress(
     )
 
 
-def stressed_npv_bcr(pv_b, pv_c, pv_o, cost_mult, benefit_mult, x):
-    """(npv, bcr) of apply_stress from the unstressed PVs (B, C, O), with x the
-    delay's discount factor: gain = benefit_mult*x*B, pain = cost_mult*C + x*O.
-    Elementwise on floats and numpy arrays alike."""
-    gain = benefit_mult * x * pv_b
-    pain = cost_mult * pv_c + x * pv_o
-    return gain - pain, gain / pain
+def stressed_gain_pain(pv_b, pv_c, pv_o, cost_mult, benefit_mult, x):
+    """(gain, pain) of apply_stress from the unstressed PVs (B, C, O), with x the
+    delay's discount factor: gain = benefit_mult*x*B, pain = cost_mult*C + x*O;
+    npv = gain - pain, bcr = gain / pain. Elementwise on floats and numpy arrays."""
+    return benefit_mult * x * pv_b, cost_mult * pv_c + x * pv_o
 
 
 class BreakEvenDelay(NamedTuple):

@@ -88,6 +88,9 @@ class ProjectRecord:
             raise InputError(f"decision_year must be in [1900, 2100], got {self.decision_year}")
         # half-specified benefit fields are allowed; benefit statistics
         # exclude such records pairwise
+        for label, value in (("est_benefit", self.est_benefit), ("act_benefit", self.act_benefit)):
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{label} must be a finite number, got {value}")
 
 
 def cost_overrun_ratio(rec: ProjectRecord) -> float:
@@ -174,14 +177,17 @@ def check_levels(ps: Sequence[float]) -> None:
 
 
 def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
-    """Linear-interpolation (type 7) quantiles at each level in ps, from one
-    sort: with s sorted and h = (n-1)p, each is
-    s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]). Written out
-    directly so sort-based brute-force oracles can match bit for bit."""
+    """Type 7 quantiles at each level in ps, from one sort (see sorted_quantile)."""
     if len(values) == 0:
         raise InputError("quantile of an empty sample")
     check_levels(ps)
-    s = np.sort(np.asarray(values, dtype=float))
+    return sorted_quantile(np.sort(np.asarray(values, dtype=float)), ps)
+
+
+def sorted_quantile(s: np.ndarray, ps: Sequence[float]) -> tuple[float, ...]:
+    """Type 7 quantiles of the sorted, non-empty array s at checked levels ps: with
+    h = (n-1)p, each is s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]),
+    written out so sort-based brute-force oracles can match bit for bit."""
     n = len(s)
     if n == 1:
         return tuple(float(s[0]) for _ in ps)

@@ -81,6 +81,8 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
         raise InputError(f"bandwidth must be positive, got {bandwidth}")
     lo = float(data.min()) - KDE_SPAN_BANDWIDTHS * h
     hi = float(data.max()) + KDE_SPAN_BANDWIDTHS * h
+    if not math.isfinite(hi - lo):  # an infinite h, or a grid span past the float range
+        raise InputError(f"bandwidth must be finite with a finite grid span, got {h}")
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - data[None, :]) / h
     dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(sample) * h * math.sqrt(2.0 * math.pi))
@@ -293,6 +295,8 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
     total_n = sum(sizes)
     if total_n <= k:
         raise InputError("total observations must exceed the number of groups")
+    for g in groups:
+        _finite(g)
     grand = math.fsum(math.fsum(g) for g in groups) / total_n
     means = [math.fsum(g) / len(g) for g in groups]
     ss_between = math.fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
@@ -341,6 +345,8 @@ def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:
         raise InputError("x and y must have equal length")
     if n < 3:
         raise InputError("trend test requires at least 3 points")
+    _finite(x)
+    _finite(y)
     xbar = math.fsum(x) / n
     ybar = math.fsum(y) / n
     sxx = math.fsum((xi - xbar) ** 2 for xi in x)

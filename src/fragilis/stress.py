@@ -9,12 +9,13 @@ results are bit-identical no matter how trials are chunked.
 Under the stress semantics (capex scaled in place, benefits and O&M shifted
 together), per-trial NPV and BCR reduce exactly to three present values:
 
-    npv(k, b, d) = b * x * B - k * C - x * O      with x = (1+r)**-d
-    bcr(k, b, d) = b * x * B / (k * C + x * O)
+    gain = b * x * B,   pain = k * C + x * O,   x = (1+r)**-d
+    npv = gain - pain,  bcr = gain / pain
 
 where B, C, O are the unstressed present values of benefits, capex, and O&M.
-cashflow.stressed_npv_bcr holds that factorization: run_stress evaluates it
-vectorized, sensitivity_grid and size_contingency with x = 1. Only the grid's
+cashflow.stressed_gain_pain holds it: run_stress evaluates it vectorized and
+keeps the NPV alone (with pain >= 0, BCR < 1 exactly when NPV < 0), while
+sensitivity_grid and size_contingency take the BCR with x = 1. Only the grid's
 IRR needs a stressed cash flow stream, which net_stream builds with the cell's
 multipliers. Tests check both against apply_stress.
 """
@@ -29,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _rng
-from .cashflow import AppraisalModel, irr, net_stream, stressed_npv_bcr
+from .cashflow import AppraisalModel, irr, net_stream, stressed_gain_pain
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import ComputeError, InputError
-from .refclass import check_levels, quantile
+from .refclass import check_levels, sorted_quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -45,10 +46,9 @@ _LOW_BITS = 26  # mantissa bits in the low half; the high half keeps the other 2
 
 MAX_TRIALS = 100_000_000
 """Largest n_trials a StressConfig accepts. run_stress keeps 8 bytes per
-trial (the NPV array) plus about 15 MB of per-span temporaries while it
-evaluates and sums, and 16 bytes per trial while it sorts a copy for the
-quantiles: 1.6 GB at this cap. (tracemalloc peaks: 16.8 MB for one full-shape
-span of 262,144 trials, 64.0 MB at 4M trials.)"""
+trial (one NPV array, sorted in place) plus 11-19 MB of per-span
+temporaries: 0.8 GB at this cap. (tracemalloc peaks at 4M trials: 42.8 MB
+capex only, 46.7 MB full shape, 50.9 MB with a shortfall distribution.)"""
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,9 +166,9 @@ class StressResult:
 
 def _trial_arrays(
     config: StressConfig, pvs: tuple[float, float, float], r: float, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(npv, bcr) for trial indices [start, stop), via the PV factorization
-    of the unstressed present values pvs = (B, C, O) at discount rate r."""
+) -> np.ndarray:
+    """NPVs of trial indices [start, stop), via the PV factorization of the
+    unstressed present values pvs = (B, C, O) at discount rate r."""
 
     def draw(dist: QuantileDistribution, tag: int) -> np.ndarray:
         return dist.sample_array(_rng.uniforms(config.seed, tag, start, stop))
@@ -182,7 +182,8 @@ def _trial_arrays(
         s = draw(config.shortfall, SHORTFALL_TAG)
     else:
         s = float(config.shortfall)
-    return stressed_npv_bcr(*pvs, k, 1.0 - s, x)
+    gain, pain = stressed_gain_pain(*pvs, k, 1.0 - s, x)
+    return gain - pain
 
 
 class _ExactSum:
@@ -234,31 +235,28 @@ def run_stress(
 ) -> StressResult:
     """Monte Carlo break probability and NPV distribution for a model.
 
-    Trials are evaluated serially in spans of _CHUNK. The counter-based draws
-    and the order-insensitive aggregation make the result bit-identical for
-    any chunking: the NPV quantiles come from one sort, and the mean from an
-    exact sum (_ExactSum) filled span by span, which equals math.fsum of all
-    NPVs. A non-finite trial NPV, or a sum outside the float range, raises
-    ComputeError.
+    Trials are evaluated serially in spans of _CHUNK into one NPV array. The
+    counter-based draws and order-insensitive aggregation make the result
+    bit-identical for any chunking: the mean is an exact sum (_ExactSum, equal
+    to math.fsum of all NPVs) filled span by span; p_break (the share of
+    negative NPVs) and the quantiles come from one in-place sort of the array.
+    A non-finite trial NPV, or a sum outside the float range, raises ComputeError.
     """
     check_levels(quantile_ps)
     n = config.n_trials
     pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
     npvs = np.empty(n)
     total = _ExactSum()
-    n_broken = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         with np.errstate(over="ignore", invalid="ignore"):  # total.add rejects non-finite NPVs
-            npv_part, bcr_part = _trial_arrays(config, pvs, model.discount_rate, start, stop)
-        total.add(npv_part)
-        npvs[start:stop] = npv_part
-        n_broken += int(np.count_nonzero(bcr_part < 1.0))
-        del npv_part, bcr_part  # free this span before the next one is drawn
+            npvs[start:stop] = _trial_arrays(config, pvs, model.discount_rate, start, stop)
+        total.add(npvs[start:stop])
 
-    p_break = n_broken / n
+    npvs.sort()
+    p_break = int(np.searchsorted(npvs, 0.0)) / n
     se = math.sqrt(p_break * (1.0 - p_break) / n)
-    quantiles = dict(zip(map(float, quantile_ps), quantile(npvs, quantile_ps)))
+    quantiles = dict(zip(map(float, quantile_ps), sorted_quantile(npvs, quantile_ps)))
     return StressResult(p_break, se, quantiles, total.value() / n, n, config.seed)
 
 
@@ -320,8 +318,8 @@ def sensitivity_grid(
     for k in cost_mults:
         row = []
         for b in benefit_mults:
-            _, cell_bcr = stressed_npv_bcr(*pvs, k, b, 1.0)
-            row.append(GridCell(irr(net_stream(model, k, b)), cell_bcr))
+            gain, pain = stressed_gain_pain(*pvs, k, b, 1.0)
+            row.append(GridCell(irr(net_stream(model, k, b)), gain / pain))
         rows.append(tuple(row))
     return SensitivityGrid(benefit_mults, cost_mults, tuple(rows))
 
@@ -358,5 +356,6 @@ def size_contingency(
         raise InputError(f"coverage must lie strictly inside (0, 1), got {coverage}")
     c = capex_dist.quantile(coverage) - 1.0
     pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
-    _, adjusted = stressed_npv_bcr(*pvs, 1.0 + c, 1.0, 1.0)
+    gain, pain = stressed_gain_pain(*pvs, 1.0 + c, 1.0, 1.0)
+    adjusted = gain / pain
     return ContingencyResult(coverage, c, adjusted, adjusted > 1.0)

@@ -355,6 +355,16 @@ def test_density_zero_variance_is_computation_error(tmp_path):
     assert run(["density", str(csv_path), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_infinite_bandwidth_is_input_error(tmp_path, capsys):
+    for bandwidth in ("inf", "1e308"):
+        out = tmp_path / bandwidth
+        assert run(["density", FIXTURE, "--bandwidth", bandwidth, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "bandwidth must be finite" in err
+        assert not (out / "density.json").exists()
+
+
 def test_test_command_bias_decades_trend(tmp_path):
     for name in ("bias", "decades", "trend"):
         out = tmp_path / name

@@ -368,6 +368,24 @@ def test_csv_optional_benefits_empty_string():
     assert rec.est_benefit is None and rec.act_benefit is None
 
 
+def test_csv_non_finite_benefits_rejected():
+    text = (
+        CSV_HEADER
+        + "\nA,Dam,X,Asia,road,1990,1,2,3,4,nan,5"
+        + "\nB,Dam,X,Asia,road,1990,1,2,3,4,5,inf"
+        + "\nC,Dam,X,Asia,road,1990,1,2,3,4,5,-inf"
+        + "\nD,Dam,X,Asia,road,1990,1,2,3,4,5,6\n"
+    )
+    result = read_records_csv(io.StringIO(text), strict=False)
+    assert [r.id for r in result.reference_class.records] == ["D"]
+    assert [(e.row, e.field) for e in result.errors] == [(2, "(record)"), (3, "(record)"),
+                                                         (4, "(record)")]
+    assert "est_benefit must be a finite number, got nan" in result.errors[0].message
+    assert "act_benefit must be a finite number, got inf" in result.errors[1].message
+    with pytest.raises(InputError, match=r"row 2.*est_benefit must be a finite number"):
+        read_records_csv(io.StringIO(text), strict=True)
+
+
 # One row of each kind the ingest must tell apart. The expected diagnostics
 # were recorded from the earlier name-keyed (DictReader) reader, so they pin
 # the (row, field, message) format and the order in which columns are checked.

@@ -325,6 +325,9 @@ def test_one_way_f_validation():
         one_way_f([[1.0], []])
     with pytest.raises(InputError):
         one_way_f([[1.0], [2.0]])  # total n == k
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            one_way_f([[1.0, 2.0], [3.0, bad]])
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +387,8 @@ def test_trend_validation():
         trend_f([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         trend_f([1.0, 2.0], [1.0, 2.0])
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            trend_f([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+        with pytest.raises(InputError, match="non-finite"):
+            trend_f([1.0, bad, 3.0], [1.0, 2.0, 3.0])

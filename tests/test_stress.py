@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragilis import _rng, stress
@@ -162,6 +162,20 @@ def test_run_stress_npv_sum_overflow_is_compute_error():
         run_stress(model, config)
 
 
+def test_run_stress_peak_memory_is_one_npv_array():
+    # 4M trials hold 30.5 MiB of NPVs; a sorted copy of them would add as much again
+    config = StressConfig(4_000_000, 7, resolve_dist("big-dam"), resolve_dist("big-dam-schedule"),
+                          8.6, 0.11)
+    model = build_stylized_model()
+    tracemalloc.start()
+    try:
+        run_stress(model, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # exact sum
 
@@ -213,6 +227,36 @@ def test_exact_sum_large_spans_match_fsum():
     expected = math.fsum(values)
     assert _exact_sum(np.array_split(values, 4)) == expected
     assert _exact_sum([values]) == expected
+
+
+# ---------------------------------------------------------------------------
+# break test: run_stress counts npv < 0 where the paper counts bcr < 1
+
+_PAIN = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                  st.sampled_from([v for v in _EDGE_FLOATS if v >= 0.0]))
+
+
+@st.composite
+def _gain_pain(draw):
+    pain = draw(_PAIN)
+    if draw(st.booleans()):
+        gain = draw(_FINITE)
+    else:  # a float neighbour of pain, where the two tests could first disagree
+        gain = pain
+        for _ in range(draw(st.integers(0, 3))):
+            gain = math.nextafter(gain, draw(st.sampled_from((-math.inf, math.inf))))
+        assume(math.isfinite(gain))
+    return gain, pain
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_gain_pain(), min_size=1, max_size=20))
+def test_negative_npv_is_bcr_below_one(pairs):
+    gains, pains = (np.array(column) for column in zip(*pairs))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.testing.assert_array_equal(gains - pains < 0.0, gains / pains < 1.0)
+        for gain, pain in zip(gains, pains):  # numpy scalars: x / 0 gives inf or nan, not an error
+            assert (gain - pain < 0.0) == (gain / pain < 1.0)
 
 
 def test_run_stress_checks_levels_before_any_draw(canonical_dist, monkeypatch):
