@@ -22,6 +22,7 @@ from .refclass import quantile
 
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
+_KDE_BLOCK_ROWS = 32  # grid rows per pass over the sample; divides KDE_GRID_POINTS
 EXACT_ENUMERATION_LIMIT = 12  # run the exact U test when n + m <= this
 
 
@@ -51,12 +52,18 @@ def _finite(sample: Sequence[float]) -> np.ndarray:
 
 def silverman_bandwidth(sample: Sequence[float]) -> float:
     """0.9 * min(sd, IQR/1.34) * n**-0.2, with the usual fallback to sd when
-    the IQR is degenerate. Zero for a zero-variance sample."""
+    the IQR is degenerate. Zero for a zero-variance sample; a ComputeError
+    when a squared deviation overflows, since the rule then has no scale."""
     data = _finite(sample)
     n = len(data)
     if n < 2:
         return 0.0
-    sd = float(np.std(data, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(data, ddof=1))
+    if not math.isfinite(sd):
+        raise ComputeError(
+            "sample spread overflows the float range; pass an explicit bandwidth"
+        )
     q25, q75 = quantile(data, (0.25, 0.75))
     iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
@@ -68,6 +75,13 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
 
     The default bandwidth follows Silverman's rule; a zero-variance sample
     has no data-driven scale, so an explicit bandwidth is then required.
+
+    The grid is evaluated in blocks of 32 rows through one reused (32, n)
+    buffer, so memory is O(32 * n) rather than O(512 * n). Each row is still
+    reduced by the same contiguous sum, and -0.5 * (z * z) equals the dense
+    form's (-0.5 * z) * z wherever z * z is a normal float (elsewhere exp
+    gives 1.0 or 0.0 either way), so the densities are bit-identical to the
+    dense form.
     """
     if len(sample) < 1:
         raise InputError("kde requires at least one observation")
@@ -84,8 +98,16 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     if not math.isfinite(hi - lo):  # an infinite h, or a grid span past the float range
         raise InputError(f"bandwidth must be finite with a finite grid span, got {h}")
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
-    z = (grid[:, None] - data[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(sample) * h * math.sqrt(2.0 * math.pi))
+    dens = np.empty(KDE_GRID_POINTS)
+    b = np.empty((_KDE_BLOCK_ROWS, len(data)))
+    for i in range(0, KDE_GRID_POINTS, _KDE_BLOCK_ROWS):
+        np.subtract(grid[i:i + _KDE_BLOCK_ROWS, None], data, out=b)
+        b /= h
+        np.multiply(b, b, out=b)
+        b *= -0.5
+        np.exp(b, out=b)
+        b.sum(axis=1, out=dens[i:i + _KDE_BLOCK_ROWS])
+    dens /= len(sample) * h * math.sqrt(2.0 * math.pi)
     return DensityTrace(tuple(grid.tolist()), tuple(dens.tolist()), h)
 
 
@@ -279,6 +301,18 @@ def f_sf(f_value: float, df1: float, df2: float) -> float:
 # One-way ANOVA and trend test
 
 
+def _fsum(terms) -> float:
+    """math.fsum of finite values, with a sum or square past the float range
+    (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise ComputeError("a sum or square of the sample overflows the float range")
+    return total
+
+
 def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
     """Classical one-way ANOVA F across two or more groups.
 
@@ -297,11 +331,11 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
         raise InputError("total observations must exceed the number of groups")
     for g in groups:
         _finite(g)
-    grand = math.fsum(math.fsum(g) for g in groups) / total_n
-    means = [math.fsum(g) / len(g) for g in groups]
-    ss_between = math.fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
-    ss_within = math.fsum(
-        math.fsum((v - mu) ** 2 for v in g) for g, mu in zip(groups, means)
+    grand = _fsum(_fsum(g) for g in groups) / total_n
+    means = [_fsum(g) / len(g) for g in groups]
+    ss_between = _fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
+    ss_within = _fsum(
+        _fsum((v - mu) ** 2 for v in g) for g, mu in zip(groups, means)
     )
     df1, df2 = k - 1, total_n - k
     if ss_within == 0.0:
@@ -347,16 +381,16 @@ def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:
         raise InputError("trend test requires at least 3 points")
     _finite(x)
     _finite(y)
-    xbar = math.fsum(x) / n
-    ybar = math.fsum(y) / n
-    sxx = math.fsum((xi - xbar) ** 2 for xi in x)
+    xbar = _fsum(x) / n
+    ybar = _fsum(y) / n
+    sxx = _fsum((xi - xbar) ** 2 for xi in x)
     if sxx == 0.0:
         raise InputError("all x values are equal; trend undefined")
-    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
-    syy = math.fsum((yi - ybar) ** 2 for yi in y)
+    sxy = _fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    syy = _fsum((yi - ybar) ** 2 for yi in y)
     slope = sxy / sxx
     intercept = ybar - slope * xbar
-    rss = math.fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
+    rss = _fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
     rss = max(rss, 0.0)
     if syy == 0.0:  # constant response
         return TrendResult(0.0, 1.0, "exact", n, 0.0, ybar, 0.0)

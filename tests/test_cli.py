@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 import sys
 import tracemalloc
 from pathlib import Path
@@ -344,6 +345,24 @@ def test_density_csv_and_svg(tmp_path):
     assert (out / "density.svg").read_text().startswith("<svg")
 
 
+GOLDEN_DENSITY_SHA256 = {
+    "density.json": "12668a762f07446c5eadc532e36f6c98e2343d5be8a35a320aa42bc2601b3bc3",
+    "density.csv": "cbf491a3bb649c8417ff8cca3564a9dd55cae5e03b3201bea5219b1c30205d43",
+}
+
+
+def test_density_golden_digests(tmp_path, monkeypatch):
+    # a relative input path keeps the "source" field in density.json the same everywhere
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURE, "records.csv")
+    assert run(["density", "records.csv", "--out", "o"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DENSITY_SHA256
+    }
+    assert digests == GOLDEN_DENSITY_SHA256
+
+
 def test_density_zero_variance_is_computation_error(tmp_path):
     csv_path = tmp_path / "flat.csv"
     csv_path.write_text(
@@ -373,6 +392,30 @@ def test_test_command_bias_decades_trend(tmp_path):
         doc = read_json(out / "test.json")
         assert doc["test"] == name
         assert 0.0 <= doc["result"]["p_value"] <= 1.0
+
+
+def _write_huge_ratio_csv(path: Path) -> None:
+    # est_cost alternating 1 and 1e-300 gives cost ratios 2 and 2e300, whose
+    # squared deviations pass the float range
+    lines = [CSV_HEADER] + [
+        f"R{i},Dam,X,Asia,road,{1970 + 10 * (i // 3) + i},{1 if i % 2 else 1e-300},2,3,4,,"
+        for i in range(6)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, message", [
+    (["test", "--test", "decades"], "overflows the float range"),
+    (["test", "--test", "trend"], "overflows the float range"),
+    (["density"], "spread overflows the float range; pass an explicit bandwidth"),
+])
+def test_overflowing_ratios_are_computation_errors(tmp_path, capsys, args, message):
+    csv_path = tmp_path / "huge.csv"
+    _write_huge_ratio_csv(csv_path)
+    assert run([args[0], str(csv_path), *args[1:], "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("computation error:") and message in err
 
 
 def test_test_bias_without_underruns_is_computation_error(tmp_path):

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from fragilis.errors import DegenerateSampleError, InputError
+from fragilis import _rng
+from fragilis.datasets import resolve_dist
+from fragilis.errors import ComputeError, DegenerateSampleError, InputError
 from fragilis.stats import (
     DensityTrace,
     kde,
@@ -100,6 +104,18 @@ def test_kde_rejects_non_finite_sample():
             silverman_bandwidth([bad])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kde_overflowing_spread_demands_bandwidth():
+    # the squared deviations pass the float range, so Silverman's rule has no scale
+    for sample in ([1e308, -1e308, 0.0], [1.0, 2e300, 1.0, 2e300]):
+        with pytest.raises(ComputeError, match="spread overflows.*explicit bandwidth") as info:
+            kde(sample)
+        assert type(info.value) is ComputeError
+        with pytest.raises(ComputeError, match="spread overflows"):
+            silverman_bandwidth(sample)
+    assert kde([1.0, 2e300, 1.0, 2e300], bandwidth=1e299).bandwidth == 1e299
+
+
 def test_kde_silverman_iqr_fallback():
     # IQR 0 but positive sd: the rule falls back to sd instead of h=0
     sample = [1.0] * 10 + [2.0]
@@ -110,6 +126,29 @@ def test_kde_silverman_iqr_fallback():
 def test_kde_empty_sample_error():
     with pytest.raises(InputError):
         kde([])
+
+
+def _overrun_sample(n: int) -> np.ndarray:
+    return resolve_dist("big-dam").quantile_array(_rng.uniforms(3, 0, 0, n))
+
+
+def test_kde_golden_digest():
+    # frozen from the dense 512 x n evaluation; the blocked one must match it bit for bit
+    trace = kde(_overrun_sample(10_000))
+    digest = hashlib.sha256(repr((trace.grid, trace.density, trace.bandwidth)).encode())
+    assert digest.hexdigest() == "32144b50e27a50e3182f811f48e3f9fc6f37f13eb46211e1146bb84d4e369778"
+
+
+def test_kde_peak_memory_is_one_block():
+    # a dense 512 x 10,000 distance matrix alone is 39 MiB
+    sample = _overrun_sample(10_000)
+    tracemalloc.start()
+    try:
+        kde(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +369,15 @@ def test_one_way_f_validation():
             one_way_f([[1.0, 2.0], [3.0, bad]])
 
 
+@pytest.mark.parametrize("groups", [
+    [[1e300, -1e300], [1e300, 0.0]],  # a squared deviation overflows
+    [[1.7e308, 1.7e308], [0.0, 1.0]],  # a group sum overflows
+])
+def test_one_way_f_overflow_is_compute_error(groups):
+    with pytest.raises(ComputeError, match="overflows the float range"):
+        one_way_f(groups)
+
+
 # ---------------------------------------------------------------------------
 # trend F
 
@@ -392,3 +440,13 @@ def test_trend_validation():
             trend_f([1.0, 2.0, 3.0], [1.0, bad, 3.0])
         with pytest.raises(InputError, match="non-finite"):
             trend_f([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 3.0], [1e300, -1e300, 1e300]),  # a squared deviation overflows
+    ([1.0, 2.0, 3.0], [1.7e308, 1.7e308, 0.0]),  # the sum of y overflows
+    ([0.0, 1e-160, 2e-160], [0.0, 1e150, 2e150]),  # the slope overflows into the residuals
+])
+def test_trend_overflow_is_compute_error(x, y):
+    with pytest.raises(ComputeError, match="overflows the float range"):
+        trend_f(x, y)
