@@ -1,10 +1,10 @@
 """Command-line surface: reproducible file-in/file-out analyses.
 
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
-report. Every run writes its JSON/CSV artifacts plus a run manifest (command
-line, input digests, seed, version, timestamp) into the --out directory; the
-stress manifest also records how the run went (wall time, trials per second,
-peak RSS, Python and numpy versions).
+report. Each command returns the input files it read; main then writes the
+run manifest (command line, input digests, seed, version, timestamp, and how
+the run went: the command's wall time, peak RSS, Python and numpy versions,
+trials per second for stress) next to the artifacts in the --out directory.
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -16,7 +16,6 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,41 +37,6 @@ from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency
 _GROUP_KEY_MAP = {"region": "region", "type": "project_type", "decade": "decade"}
 
 
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Provenance record written next to every command's artifacts."""
-
-    command: tuple[str, ...]
-    inputs: dict[str, str]  # path -> sha256 of content
-    seed: int | None
-    version: str
-    timestamp: str
-    run: dict | None = None  # how the run went; stress only, see _stress_run_stats
-
-    def to_dict(self) -> dict:
-        doc = {
-            "command": list(self.command),
-            "inputs": dict(self.inputs),
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-        if self.run is not None:
-            doc["run"] = dict(self.run)
-        return doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "RunManifest":
-        return RunManifest(
-            command=tuple(doc["command"]),
-            inputs=dict(doc["inputs"]),
-            seed=doc["seed"],
-            version=doc["version"],
-            timestamp=doc["timestamp"],
-            run=doc.get("run"),
-        )
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -87,33 +51,30 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit_manifest(
-    args, command: str, inputs: list[Path], seed: int | None = None, run: dict | None = None
-) -> None:
-    manifest = RunManifest(
-        command=tuple(getattr(args, "argv", None) or [command]),
-        inputs={str(p): _sha256(p) for p in inputs},
-        seed=seed,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        run=run,
-    )
-    _write_json(_out_dir(args) / f"manifest-{command}.json", manifest.to_dict())
-
-
-def _stress_run_stats(wall_s: float, n_trials: int) -> dict:
-    """Wall time and throughput of run_stress, the process's peak RSS so far,
-    and the runtime versions."""
-    import resource  # POSIX only; loaded when a stress run reports, not at import
+def _emit_manifest(args, inputs: list[Path], wall_s: float) -> None:
+    """Write manifest-<command>.json: provenance (command line, input digests,
+    seed, version, timestamp) and how the run went (wall time, peak RSS so far,
+    runtime versions, and throughput for commands with --trials)."""
+    import resource  # POSIX only; loaded when a run reports, not at import
 
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
-    return {
+    run = {
         "wall_s": wall_s,
-        "trials_per_s": n_trials / wall_s,
         "peak_rss_mb": max_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
+    if hasattr(args, "trials"):
+        run["trials_per_s"] = args.trials / wall_s
+    manifest = {
+        "command": list(args.argv),
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "run": run,
+    }
+    _write_json(_out_dir(args) / f"manifest-{args.command}.json", manifest)
 
 
 def _input_file(name: str, role: str) -> Path:
@@ -137,7 +98,7 @@ def _load_model(args) -> tuple[AppraisalModel, Path]:
 # Commands
 
 
-def cmd_ingest(args) -> None:
+def cmd_ingest(args) -> list[Path]:
     path = _input_file(args.records, "records")
     result = read_records_csv(path, strict=args.strict)
     out = _out_dir(args)
@@ -153,11 +114,11 @@ def cmd_ingest(args) -> None:
             ],
         },
     )
-    _emit_manifest(args, "ingest", [path])
     print(f"ingested {result.n_accepted} records ({result.n_skipped} skipped)")
+    return [path]
 
 
-def cmd_stats(args) -> None:
+def cmd_stats(args) -> list[Path]:
     ref, path = _load_records(args)
     thresholds = tuple(args.threshold or ())
     out = _out_dir(args)
@@ -171,11 +132,11 @@ def cmd_stats(args) -> None:
     else:
         doc["summary"] = summarize(ref, args.metric, thresholds).to_dict()
     _write_json(out / "stats.json", doc)
-    _emit_manifest(args, "stats", [path])
     print(f"stats written for {len(ref)} records")
+    return [path]
 
 
-def cmd_density(args) -> None:
+def cmd_density(args) -> list[Path]:
     ref, path = _load_records(args)
     ratios = ref.ratios(args.metric)
     trace = kde(ratios, bandwidth=args.bandwidth)
@@ -202,11 +163,11 @@ def cmd_density(args) -> None:
             y_label="density",
         )
         (out / "density.svg").write_text(svg, encoding="utf-8")
-    _emit_manifest(args, "density", [path])
     print(f"density trace written ({len(trace.grid)} points, h={trace.bandwidth:.6g})")
+    return [path]
 
 
-def cmd_test(args) -> None:
+def cmd_test(args) -> list[Path]:
     ref, path = _load_records(args)
     ratios = ref.ratios(args.metric)
     if args.test == "bias":
@@ -238,11 +199,11 @@ def cmd_test(args) -> None:
         {"source": str(path), "metric": args.metric, "test": args.test,
          "result": result, "context": context},
     )
-    _emit_manifest(args, "test", [path])
     print(f"{args.test} test: statistic={result['statistic']:.6g} p={result['p_value']:.4g}")
+    return [path]
 
 
-def cmd_appraise(args) -> None:
+def cmd_appraise(args) -> list[Path]:
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
     out = _out_dir(args)
@@ -271,29 +232,28 @@ def cmd_appraise(args) -> None:
             y_label="cumulative discounted value",
         )
         (out / "payoff.svg").write_text(svg, encoding="utf-8")
-    _emit_manifest(args, "appraise", [path])
     print(f"bcr={result.bcr:.6g} npv={result.npv:.6g} k*={result.break_even_overrun:.6g}")
+    return [path]
 
 
-def cmd_stress(args) -> None:
+def cmd_stress(args) -> list[Path]:
     model, path = _load_model(args)
     capex_dist = datasets.resolve_dist(args.dist)
     schedule_dist = datasets.resolve_dist(args.schedule_dist) if args.schedule_dist else None
     shortfall = (
         datasets.resolve_dist(args.shortfall_dist) if args.shortfall_dist else args.shortfall
     )
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    if args.seed is None:
+        args.seed = secrets.randbits(63)
     config = StressConfig(
         n_trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         capex_dist=capex_dist,
         schedule_dist=schedule_dist,
         est_duration_years=args.duration,
         shortfall=shortfall,
     )
-    started = time.perf_counter()
     result = run_stress(model, config)
-    wall_s = time.perf_counter() - started
     out = _out_dir(args)
     doc = result.to_dict()
     doc["source"] = str(path)
@@ -304,13 +264,12 @@ def cmd_stress(args) -> None:
     doc["shortfall"] = args.shortfall_dist or args.shortfall
     _write_json(out / "stress.json", doc)
     (out / "stress-npv-quantiles.csv").write_text(result.quantiles_csv(), encoding="utf-8")
-    dists = (args.dist, args.schedule_dist, args.shortfall_dist)
-    inputs = [path] + [datasets.dist_path(d) for d in dists if d]
-    _emit_manifest(args, "stress", inputs, seed, _stress_run_stats(wall_s, result.n_trials))
     print(
         f"p_break={result.p_break:.4f} (se {result.p_break_se:.4f}) "
-        f"over {result.n_trials} trials, seed {seed}"
+        f"over {result.n_trials} trials, seed {args.seed}"
     )
+    dists = (args.dist, args.schedule_dist, args.shortfall_dist)
+    return [path] + [datasets.dist_path(d) for d in dists if d]
 
 
 def _parse_mults(raw: str, name: str) -> list[float]:
@@ -323,7 +282,7 @@ def _parse_mults(raw: str, name: str) -> list[float]:
     return values
 
 
-def cmd_grid(args) -> None:
+def cmd_grid(args) -> list[Path]:
     model, path = _load_model(args)
     grid = sensitivity_grid(
         model,
@@ -335,11 +294,11 @@ def cmd_grid(args) -> None:
     doc["source"] = str(path)
     _write_json(out / "grid.json", doc)
     (out / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
-    _emit_manifest(args, "grid", [path])
     print(f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells")
+    return [path]
 
 
-def cmd_contingency(args) -> None:
+def cmd_contingency(args) -> list[Path]:
     model, path = _load_model(args)
     dist = datasets.resolve_dist(args.dist)
     result = size_contingency(model, dist, args.coverage)
@@ -348,11 +307,11 @@ def cmd_contingency(args) -> None:
     doc["source"] = str(path)
     doc["capex_dist"] = args.dist
     _write_json(out / "contingency.json", doc)
-    _emit_manifest(args, "contingency", [path, datasets.dist_path(args.dist)])
     print(
         f"contingency {result.contingency:.4f} at p={args.coverage:g}: "
         f"adjusted bcr {result.adjusted_bcr:.4f} -> {doc['decision']}"
     )
+    return [path, datasets.dist_path(args.dist)]
 
 
 _REPORT_SECTIONS = (
@@ -384,7 +343,7 @@ def _render_value(value, indent: int = 0) -> list[str]:
     return [f"{pad}- {json.dumps(value)}"]
 
 
-def cmd_report(args) -> None:
+def cmd_report(args) -> list[Path]:
     out = _out_dir(args)
     lines = ["# Fragility analysis report", ""]
     found = []
@@ -393,7 +352,10 @@ def cmd_report(args) -> None:
         if not path.is_file():
             continue
         found.append(path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+            raise InputError(f"artifact {path} is not valid JSON: {exc}") from None
         lines.append(f"## {title}")
         lines.append("")
         lines.append(f"Artifact: `{filename}`")
@@ -403,8 +365,8 @@ def cmd_report(args) -> None:
     if not found:
         raise InputError(f"no artifacts found in {out}; run an analysis command first")
     (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit_manifest(args, "report", found)
     print(f"report.md summarizes {len(found)} artifact(s)")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +469,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(effective)
     args.argv = effective
     try:
-        args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        started = time.perf_counter()
+        inputs = args.func(args)
+        _emit_manifest(args, inputs, time.perf_counter() - started)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:

@@ -183,8 +183,8 @@ def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> Reference
     records = []
     for i in range(n):
         u = lambda tag: _rng.uniform_at(seed, tag, i)  # noqa: E731
-        ratio = cost_dist.sample(u(_TAG_COST))
-        slip = slip_dist.sample(u(_TAG_SLIP))
+        ratio = cost_dist.quantile(u(_TAG_COST))
+        slip = slip_dist.quantile(u(_TAG_SLIP))
         est_cost = round(40.0 + 2400.0 * u(_TAG_EST_COST) ** 2, 1)
         act_cost = round(est_cost * ratio, 1)
         est_months = float(int(36 + 120 * u(_TAG_EST_MONTHS)))

@@ -159,12 +159,6 @@ class QuantileDistribution:
         frac = math.log(x / xs[lo]) / math.log(xs[idx] / xs[lo])
         return float(ps[lo] + frac * (ps[idx] - ps[lo]))
 
-    def sample(self, u: float) -> float:
-        """Inverse-CDF draw at uniform u in (0, 1); deterministic in u."""
-        if not 0.0 < u < 1.0:
-            raise InputError(f"u must lie strictly inside (0, 1), got {u}")
-        return self.quantile(u)
-
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         return self.quantile_array(u)
 

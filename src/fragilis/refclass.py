@@ -369,7 +369,10 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
-            return read_records_csv(fh, label=label or Path(source).stem, strict=strict)
+            try:
+                return read_records_csv(fh, label=label or Path(source).stem, strict=strict)
+            except UnicodeDecodeError as exc:
+                raise InputError(f"records file {source} is not UTF-8 text: {exc}") from None
 
     reader = csv.reader(source)
     header = next(reader, None)

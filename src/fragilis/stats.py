@@ -97,16 +97,19 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     hi = float(data.max()) + KDE_SPAN_BANDWIDTHS * h
     if not math.isfinite(hi - lo):  # an infinite h, or a grid span past the float range
         raise InputError(f"bandwidth must be finite with a finite grid span, got {h}")
+    if not math.isfinite(1.0 / (h * math.sqrt(2.0 * math.pi))):  # peak kernel height
+        raise InputError(f"bandwidth is too small for a finite density, got {h}")
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     dens = np.empty(KDE_GRID_POINTS)
     b = np.empty((_KDE_BLOCK_ROWS, len(data)))
-    for i in range(0, KDE_GRID_POINTS, _KDE_BLOCK_ROWS):
-        np.subtract(grid[i:i + _KDE_BLOCK_ROWS, None], data, out=b)
-        b /= h
-        np.multiply(b, b, out=b)
-        b *= -0.5
-        np.exp(b, out=b)
-        b.sum(axis=1, out=dens[i:i + _KDE_BLOCK_ROWS])
+    with np.errstate(over="ignore"):  # z / h or z * z may overflow: exp(-inf) is 0 either way
+        for i in range(0, KDE_GRID_POINTS, _KDE_BLOCK_ROWS):
+            np.subtract(grid[i:i + _KDE_BLOCK_ROWS, None], data, out=b)
+            b /= h
+            np.multiply(b, b, out=b)
+            b *= -0.5
+            np.exp(b, out=b)
+            b.sum(axis=1, out=dens[i:i + _KDE_BLOCK_ROWS])
     dens /= len(sample) * h * math.sqrt(2.0 * math.pi)
     return DensityTrace(tuple(grid.tolist()), tuple(dens.tolist()), h)
 

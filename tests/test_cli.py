@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import shutil
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fragilis import datasets, stress
-from fragilis.cli import RunManifest, main
+from fragilis import __version__, datasets, stress
+from fragilis.cli import main
 from fragilis.refclass import read_records_csv
 
 STYLIZED = str(datasets.asset_path("stylized-dam.json"))
@@ -106,8 +111,9 @@ def test_stress_manifest_records_how_the_run_went(tmp_path):
     assert run_doc["numpy"] == np.__version__
     # only the manifest carries it: stress.json stays a pure function of the inputs
     assert not {"run", "wall_s", "peak_rss_mb"} & set(read_json(out / "stress.json"))
-    manifest = RunManifest.from_dict(read_json(out / "manifest-stress.json"))
-    assert manifest.to_dict() == read_json(out / "manifest-stress.json")
+    manifest = read_json(out / "manifest-stress.json")
+    assert set(manifest) == {"command", "inputs", "seed", "version", "timestamp", "run"}
+    assert manifest["seed"] == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -329,6 +335,17 @@ def test_ingest_strict_aborts_with_exit_2(tmp_path, capsys):
     assert "row 2" in err and "Atlantis" in err
 
 
+def test_records_not_utf8_is_validation_error(tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(CSV_HEADER.encode() + b"\nA,Dam,\xff,Asia,road,1990,1,2,3,4,,\n")
+    for command in (["ingest"], ["stats"], ["density"], ["test", "--test", "bias"]):
+        for mode in ([], ["--strict"]):
+            argv = command + [str(csv_path), "--out", str(tmp_path / "o")] + mode
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "not UTF-8" in err
+
+
 def test_density_csv_and_svg(tmp_path):
     out = tmp_path / "o"
     rc = run(["density", FIXTURE, "--metric", "cost", "--format", "svg", "--out", str(out)])
@@ -382,6 +399,14 @@ def test_density_infinite_bandwidth_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "bandwidth must be finite" in err
         assert not (out / "density.json").exists()
+
+
+def test_density_tiny_bandwidth_is_input_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["density", FIXTURE, "--bandwidth", "1e-310", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "too small for a finite density" in err
+    assert not (out / "density.json").exists()
 
 
 def test_test_command_bias_decades_trend(tmp_path):
@@ -486,6 +511,17 @@ def test_report_without_artifacts_is_validation_error(tmp_path):
     assert run(["report", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_report_corrupt_artifact_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    for corrupt in (b'{"bcr": 1.2', b'{"bcr": "\xff"}'):
+        (out / "appraisal.json").write_bytes(corrupt)
+        assert run(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "appraisal.json is not valid JSON" in err
+    assert not (out / "report.md").exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest and data dir override
 
@@ -494,11 +530,30 @@ def test_manifest_round_trip(tmp_path):
     out = tmp_path / "o"
     assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
     doc = read_json(out / "manifest-appraise.json")
-    manifest = RunManifest.from_dict(doc)
-    assert manifest.to_dict() == doc
-    assert manifest.version
-    digest = next(iter(manifest.inputs.values()))
+    assert set(doc) == {"command", "inputs", "seed", "version", "timestamp", "run"}
+    assert doc["command"] == ["appraise", STYLIZED, "--out", str(out)]
+    assert doc["seed"] is None and doc["version"] == __version__
+    digest = next(iter(doc["inputs"].values()))
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_every_command_manifest_records_how_the_run_went(tmp_path):
+    out = tmp_path / "o"
+    records = ["--out", str(out)]
+    for argv in (
+        ["ingest", FIXTURE], ["stats", FIXTURE], ["density", FIXTURE],
+        ["test", FIXTURE, "--test", "trend"], ["appraise", STYLIZED],
+        ["stress", STYLIZED, "--dist", "big-dam", "--trials", "500", "--seed", "4"],
+        ["grid", STYLIZED], ["contingency", STYLIZED, "--dist", "big-dam"], ["report"],
+    ):
+        assert run(argv + records) == 0
+        manifest = read_json(out / f"manifest-{argv[0]}.json")
+        assert manifest["command"] == argv + records
+        run_doc = manifest["run"]
+        assert set(run_doc) - {"trials_per_s"} == {"wall_s", "peak_rss_mb", "python", "numpy"}
+        assert run_doc["wall_s"] > 0 and 1 < run_doc["peak_rss_mb"] < 100_000
+        assert ("trials_per_s" in run_doc) == (argv[0] == "stress")
+    assert len(read_json(out / "manifest-report.json")["inputs"]) == 8
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
@@ -517,6 +572,69 @@ def test_data_dir_override_invalid(monkeypatch, tmp_path):
     monkeypatch.setenv("FRAGILIS_DATA_DIR", str(tmp_path / "missing"))
     with pytest.raises(Exception, match="not a directory"):
         datasets.data_dir()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on fuzzed input files
+
+_STRESS = ["--trials", "200", "--seed", "1"]
+# file name under the run's directory -> (seed content, commands run on the
+# mutated copy; "{}" stands for its path, and every command writes to ./out)
+_FUZZ_TARGETS = {
+    "model.json": (Path(STYLIZED).read_bytes(), (
+        ["appraise", "{}"], ["stress", "{}", "--dist", "big-dam"] + _STRESS,
+        ["grid", "{}"], ["contingency", "{}", "--dist", "big-dam"],
+    )),
+    "dist.json": (datasets.asset_path("big-dam.json").read_bytes(), (
+        ["stress", STYLIZED, "--dist", "{}"] + _STRESS,
+        ["contingency", STYLIZED, "--dist", "{}"],
+    )),
+    "records.csv": (Path(FIXTURE).read_bytes(), (
+        ["ingest", "{}"], ["stats", "{}", "--strict"], ["density", "{}"],
+        ["test", "{}", "--test", "decades"],
+    )),
+    "out/appraisal.json": (b'{"bcr": 1.4, "irr": 0.155, "npv": 57.1, "source": "m.json"}\n', (
+        ["report"],
+    )),
+}
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate"]),
+              st.integers(0, 1 << 16), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        i = pos % (len(buf) + 1)
+        if op == "insert":
+            buf.insert(i, byte)
+        elif op == "truncate":
+            del buf[i:]
+        elif i < len(buf):
+            if op == "replace":
+                buf[i] = byte
+            else:
+                del buf[i]
+    return bytes(buf)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(sorted(_FUZZ_TARGETS)), _EDITS)
+def test_cli_exit_codes_on_mutated_inputs(target, edits):
+    seed, commands = _FUZZ_TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / target
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(_mutate(seed, edits))
+        for argv in commands:
+            argv = [str(path) if a == "{}" else a for a in argv] + ["--out", str(Path(tmp) / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

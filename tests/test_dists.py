@@ -24,7 +24,6 @@ from conftest import near_degenerate_dist
 def test_canonical_anchors_reproduced_exactly(canonical_dist):
     for p, x in BIG_DAM_ANCHORS:
         assert canonical_dist.quantile(p) == x
-        assert canonical_dist.sample(p) == x
 
 
 def test_canonical_published_quantiles(canonical_dist):
@@ -131,8 +130,6 @@ def test_cdf_below_floor_is_zero(canonical_dist):
 
 def test_sample_domain_errors(canonical_dist):
     for u in (0.0, 1.0, -0.1, 1.7, math.nan):
-        with pytest.raises(InputError):
-            canonical_dist.sample(u)
         with pytest.raises(InputError):
             canonical_dist.quantile(u)
         with pytest.raises(InputError):

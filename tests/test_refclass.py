@@ -356,6 +356,14 @@ def test_csv_strict_rejects_duplicate_id():
         read_records_csv(io.StringIO(DUPLICATE_ID_CSV), strict=True)
 
 
+def test_csv_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"id,name\n\xff\xfe,1\n")
+    for strict in (True, False):
+        with pytest.raises(InputError, match="not UTF-8"):
+            read_records_csv(path, strict=strict)
+
+
 def test_csv_bad_header_rejected():
     with pytest.raises(InputError, match="header"):
         read_records_csv(io.StringIO("id,name\n1,2\n"))

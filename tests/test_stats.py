@@ -116,6 +116,20 @@ def test_kde_overflowing_spread_demands_bandwidth():
     assert kde([1.0, 2e300, 1.0, 2e300], bandwidth=1e299).bandwidth == 1e299
 
 
+def test_kde_tiny_bandwidth_is_input_error():
+    # 1 / (h * sqrt(2 pi)) overflows: every density near a data point would be inf
+    with pytest.raises(InputError, match="too small for a finite density"):
+        kde([1.0, 2.0, 3.0], bandwidth=1e-310)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kde_far_apart_sample_does_not_warn():
+    # z * z overflows between grid points and data; exp(-inf) = 0 is the right density
+    trace = kde([2e300, 2.1e300, 1.9e300, 2.05e300], bandwidth=1.0)
+    peak = 1.0 / (4 * 1.0 * math.sqrt(2.0 * math.pi))  # only the two end points sit on data
+    assert trace.density == (peak,) + (0.0,) * (len(trace.grid) - 2) + (peak,)
+
+
 def test_kde_silverman_iqr_fallback():
     # IQR 0 but positive sd: the rule falls back to sd instead of h=0
     sample = [1.0] * 10 + [2.0]

@@ -293,8 +293,8 @@ def test_run_stress_vectorized_matches_literal_path(canonical_dist):
 
     npvs, n_broken = [], 0
     for i in range(config.n_trials):
-        k = canonical_dist.sample(_rng.uniform_at(31, CAPEX_TAG, i))
-        slip = slip_dist.sample(_rng.uniform_at(31, SCHEDULE_TAG, i))
+        k = canonical_dist.quantile(_rng.uniform_at(31, CAPEX_TAG, i))
+        slip = slip_dist.quantile(_rng.uniform_at(31, SCHEDULE_TAG, i))
         delay = max(slip - 1.0, 0.0) * 6.0
         stressed = apply_stress(model, cost_mult=k, benefit_mult=1.0 - 0.11, delay_years=delay)
         npvs.append(npv(stressed))
