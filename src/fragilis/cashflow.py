@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import InputError
+from .errors import ComputeError, InputError
 
 IRR_BRACKET = (-0.99, 10.0)
 _IRR_SCAN_SEGMENTS = 512
@@ -74,8 +74,16 @@ class CashFlowStream:
 
     def present_value(self, rate: float) -> float:
         """Sum of discounted amounts. math.fsum keeps the result exact, so it
-        is independent of entry order."""
-        return math.fsum(a * discount_factor(rate, t) for t, a in self.entries)
+        is independent of entry order. A term or sum past the float range
+        raises ComputeError."""
+        try:
+            terms = [a * discount_factor(rate, t) for t, a in self.entries]
+            pv = math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+        except OverflowError:  # from a discount factor or fsum's running total
+            pv = math.nan
+        if not math.isfinite(pv):
+            raise ComputeError(f"present value at rate {rate} overflows a float")
+        return pv
 
     def total(self) -> float:
         return math.fsum(a for _, a in self.entries)
@@ -160,30 +168,27 @@ def net_stream(
 
 
 def irr(stream: CashFlowStream) -> float | None:
-    """Smallest rate in (-0.99, 10] where the stream's NPV crosses zero.
+    """Smallest rate in [-0.99, 10] where the stream's NPV crosses zero.
 
-    Scans the bracket left to right for a sign change, then bisects. Returns
-    None when the NPV never changes sign on the bracket. Streams with several
-    sign reversals can have several roots; by convention the smallest is
-    returned.
+    Scans the bracket left to right for a sign change, then bisects. Scan
+    points where the NPV overflows a float (low rates on far cash flows) are
+    skipped. Returns None when the NPV never changes sign on the bracket.
+    Streams with several sign reversals can have several roots; by convention
+    the smallest is returned.
     """
     lo, hi = IRR_BRACKET
-
-    def f(rate: float) -> float:
-        return stream.present_value(rate)
-
     step = (hi - lo) / _IRR_SCAN_SEGMENTS
-    a = lo
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    for i in range(1, _IRR_SCAN_SEGMENTS + 1):
+    a, fa = lo, None
+    for i in range(_IRR_SCAN_SEGMENTS + 1):
         b = lo + i * step
-        fb = f(b)
+        try:
+            fb = stream.present_value(b)
+        except ComputeError:
+            continue
         if fb == 0.0:
             return b
-        if (fa < 0.0) != (fb < 0.0):
-            return _bisect(f, a, b, fa)
+        if fa is not None and (fa < 0.0) != (fb < 0.0):
+            return _bisect(stream.present_value, a, b, fa)
         a, fa = b, fb
     return None
 
@@ -385,7 +390,7 @@ def _stream_from_obj(obj, name: str) -> CashFlowStream:
     for i, item in enumerate(obj):
         try:
             entries.append((float(item["t"]), float(item["amount"])))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise InputError(f"stream {name!r} entry {i} malformed: {item!r}") from None
     return CashFlowStream.of(entries)
 
@@ -407,7 +412,7 @@ def model_from_dict(doc: dict) -> AppraisalModel:
         capex = doc["capex"]
         om = doc.get("om", [])
         benefits = doc["benefits"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed appraisal model document: {exc}") from None
     return AppraisalModel(
         capex=_stream_from_obj(capex, "capex"),
@@ -422,7 +427,7 @@ def load_model(path: str | Path) -> AppraisalModel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise InputError(f"model file {path} is not valid JSON: {exc}") from None
     return model_from_dict(doc)
 

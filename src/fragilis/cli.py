@@ -24,13 +24,7 @@ import numpy as np
 from . import __version__, charts, datasets
 from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
 from .errors import ComputeError, InputError
-from .refclass import (
-    ReferenceClass,
-    decade_label,
-    group_stats,
-    read_records_csv,
-    summarize,
-)
+from .refclass import ReferenceClass, group_ratios, group_stats, read_records_csv, summarize
 from .stats import kde, mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
 from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency
 
@@ -169,9 +163,8 @@ def cmd_density(args) -> list[Path]:
 
 def cmd_test(args) -> list[Path]:
     ref, path = _load_records(args)
-    ratios = ref.ratios(args.metric)
     if args.test == "bias":
-        over, under = overrun_bias_samples(ratios)
+        over, under = overrun_bias_samples(ref.ratios(args.metric))
         if not over or not under:
             raise ComputeError(
                 "bias test needs both overruns and underruns in the sample"
@@ -183,15 +176,12 @@ def cmd_test(args) -> list[Path]:
             "n_under": len(under),
         }
     elif args.test == "decades":
-        by_decade: dict[str, list[float]] = {}
-        for rec, ratio in zip(ref.records, ratios):  # cost and schedule: one ratio per record
-            by_decade.setdefault(decade_label(rec.decision_year), []).append(ratio)
-        keys = sorted(by_decade)
-        result = one_way_f([by_decade[k] for k in keys]).to_dict()
-        context = {"groups": keys, "comparison": "ratio means across decades"}
+        by_decade = group_ratios(ref, "decade", args.metric)
+        result = one_way_f(list(by_decade.values())).to_dict()
+        context = {"groups": list(by_decade), "comparison": "ratio means across decades"}
     else:  # trend
         years = [float(r.decision_year) for r in ref.records]
-        result = trend_f(years, ratios).to_dict()
+        result = trend_f(years, ref.ratios(args.metric)).to_dict()
         context = {"comparison": "ratio trend over decision year"}
     out = _out_dir(args)
     _write_json(
@@ -354,7 +344,7 @@ def cmd_report(args) -> list[Path]:
         found.append(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise InputError(f"artifact {path} is not valid JSON: {exc}") from None
         lines.append(f"## {title}")
         lines.append("")

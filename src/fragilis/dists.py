@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,10 +40,10 @@ class GeneralizedParetoTail:
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.shape < 1.0:
-            raise InputError(f"tail shape must be < 1, got {self.shape}")
-        if not self.scale > 0.0:
-            raise InputError(f"tail scale must be > 0, got {self.scale}")
+        if not -math.inf < self.shape < 1.0:
+            raise InputError(f"tail shape must be finite and < 1, got {self.shape}")
+        if not 0.0 < self.scale < math.inf:
+            raise InputError(f"tail scale must be finite and > 0, got {self.scale}")
 
     def cdf_excess(self, excess: float) -> float:
         if excess <= 0.0:
@@ -88,9 +88,9 @@ class QuantileDistribution:
                 raise InputError(f"anchor probability must be in (0, 1), got {p}")
             if p <= prev_p and prev_p != 0.0:
                 raise InputError("anchor probabilities must be strictly increasing")
-            if x <= prev_x:
+            if not prev_x < x < math.inf:  # NaN fails too
                 raise InputError(
-                    "anchor values must be strictly increasing and above the floor"
+                    "anchor values must be finite, strictly increasing and above the floor"
                 )
             prev_p, prev_x = p, x
 
@@ -268,9 +268,10 @@ def build_quantile_dist(
     if mean_target is None:
         raise InputError("tail unspecified: give (shape, scale) or a mean target")
 
+    # the probe validates the anchors before _junction_scale reads them; its
+    # body mean does not depend on the tail
+    body = QuantileDistribution(ps, xs, floor_x, GeneralizedParetoTail(0.5, 1.0)).body_mean()
     sigma = _junction_scale(ps, xs, floor_x)
-    probe = QuantileDistribution(ps, xs, floor_x, GeneralizedParetoTail(0.5, sigma))
-    body = probe.body_mean()
     p_last, x_last = ps[-1], xs[-1]
     tail_mass = 1.0 - p_last
 
@@ -309,29 +310,27 @@ def dist_from_dict(doc: dict) -> QuantileDistribution:
         anchors = [(float(a["p"]), float(a["x"])) for a in doc["anchors"]]
         floor_x = float(doc["floor_x"])
         tail = doc["tail"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(tail, dict):
+            raise TypeError(f"tail must be an object, got {tail!r}")
+        if "calibrate_mean" in tail:
+            calibrate_mean = float(tail["calibrate_mean"])
+        else:
+            calibrate_mean, shape, scale = None, float(tail["shape"]), float(tail["scale"])
+            mean_target = float(doc["mean_target"]) if "mean_target" in doc else None
+    except KeyError as exc:
         raise InputError(f"malformed distribution document: missing {exc}") from None
-    if "calibrate_mean" in tail:
-        return build_quantile_dist(anchors, floor_x, mean_target=float(tail["calibrate_mean"]))
-    try:
-        shape, scale = float(tail["shape"]), float(tail["scale"])
-    except (KeyError, TypeError):
-        raise InputError(
-            "distribution tail must carry either calibrate_mean or shape and scale"
-        ) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed distribution document: {exc}") from None
+    if calibrate_mean is not None:
+        return build_quantile_dist(anchors, floor_x, mean_target=calibrate_mean)
     dist = build_quantile_dist(anchors, floor_x, tail_shape=shape, tail_scale=scale)
-    if "mean_target" in doc:
-        dist = QuantileDistribution(
-            dist.anchor_ps, dist.anchor_xs, dist.floor_x, dist.tail,
-            mean_target=float(doc["mean_target"]),
-        )
-    return dist
+    return replace(dist, mean_target=mean_target)
 
 
 def load_dist(path: str | Path) -> QuantileDistribution:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # undecodable JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise InputError(f"distribution file {path} is not valid JSON: {exc}") from None
     return dist_from_dict(doc)

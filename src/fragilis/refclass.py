@@ -119,6 +119,13 @@ _METRICS = {
 }
 
 
+def _metric(metric: str):
+    """The per-record ratio function of a metric name."""
+    if metric not in _METRICS:
+        raise InputError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
+    return _METRICS[metric]
+
+
 @dataclass(frozen=True, slots=True)
 class ReferenceClass:
     """An immutable set of comparable historical projects."""
@@ -139,10 +146,7 @@ class ReferenceClass:
     def ratios(self, metric: str) -> list[float]:
         """Per-record ratios for a metric; records without data are skipped
         (only possible for the benefit metric)."""
-        if metric not in _METRICS:
-            raise InputError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
-        fn = _METRICS[metric]
-        return [r for r in map(fn, self.records) if r is not None]
+        return [r for r in map(_metric(metric), self.records) if r is not None]
 
 
 def deflate(
@@ -169,18 +173,13 @@ def deflate(
     return out
 
 
-def check_levels(ps: Sequence[float]) -> None:
-    """Raise InputError unless every quantile level lies in [0, 1]."""
+def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
+    """Type 7 quantiles at any levels ps in [0, 1], from one sort (see sorted_quantile)."""
+    if len(values) == 0:
+        raise InputError("quantile of an empty sample")
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise InputError(f"quantile level must be in [0, 1], got {p}")
-
-
-def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
-    """Type 7 quantiles at each level in ps, from one sort (see sorted_quantile)."""
-    if len(values) == 0:
-        raise InputError("quantile of an empty sample")
-    check_levels(ps)
     return sorted_quantile(np.sort(np.asarray(values, dtype=float)), ps)
 
 
@@ -225,29 +224,30 @@ class SummaryStats:
 
 
 def summarize(
-    ref: ReferenceClass,
-    metric: str = "cost",
-    thresholds: Sequence[float] = (),
-    quantile_ps: Sequence[float] = DEFAULT_QUANTILES,
+    ref: ReferenceClass, metric: str = "cost", thresholds: Sequence[float] = ()
 ) -> SummaryStats:
-    """Summary statistics of a metric over a reference class.
+    """Summary statistics of a metric over a reference class (quantiles at DEFAULT_QUANTILES).
 
     share_over_1 counts ratios strictly above 1 ("suffered an overrun");
     share_breaking counts ratios at or above each threshold ("a ratio of tau
     or greater breaches the threshold").
     """
     ratios = ref.ratios(metric)
-    n = len(ratios)
-    if n == 0:
+    if not ratios:
         raise InputError(f"no records with {metric} data to summarize")
+    return _summary(ratios, thresholds)
+
+
+def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
+    n = len(ratios)
     arr = np.asarray(ratios, dtype=float)
-    median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *quantile_ps))
+    median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
     return SummaryStats(
         n=n,
         mean=float(math.fsum(ratios) / n),
         median=median,
         iqr=q75 - q25,
-        quantiles=dict(zip(map(float, quantile_ps), qs)),
+        quantiles=dict(zip(DEFAULT_QUANTILES, qs)),
         share_over_1=float(np.count_nonzero(arr > 1.0)) / n,
         share_breaking={float(t): float(np.count_nonzero(arr >= t)) / n for t in thresholds},
     )
@@ -264,26 +264,25 @@ _GROUP_KEYS = {
 }
 
 
-def group_stats(
-    ref: ReferenceClass,
-    key: str,
-    metric: str = "cost",
-    thresholds: Sequence[float] = (),
-    quantile_ps: Sequence[float] = DEFAULT_QUANTILES,
-) -> dict[str, SummaryStats]:
-    """summarize() applied per group; groups with no usable data are omitted."""
+def group_ratios(ref: ReferenceClass, key: str, metric: str = "cost") -> dict[str, list[float]]:
+    """A metric's ratios per group, in one pass over the records: groups in
+    sorted order, records without data skipped, empty groups left out."""
     if key not in _GROUP_KEYS:
         raise InputError(f"unknown group key {key!r}; expected one of {sorted(_GROUP_KEYS)}")
-    key_fn = _GROUP_KEYS[key]
-    groups: dict[str, list[ProjectRecord]] = {}
+    key_fn, ratio_fn = _GROUP_KEYS[key], _metric(metric)
+    groups: dict[str, list[float]] = {}
     for rec in ref.records:
-        groups.setdefault(key_fn(rec), []).append(rec)
-    out: dict[str, SummaryStats] = {}
-    for gkey in sorted(groups):
-        sub = ReferenceClass(tuple(groups[gkey]), label=f"{ref.label}/{gkey}")
-        if sub.ratios(metric):
-            out[gkey] = summarize(sub, metric, thresholds, quantile_ps)
-    return out
+        ratio = ratio_fn(rec)
+        if ratio is not None:
+            groups.setdefault(key_fn(rec), []).append(ratio)
+    return {g: groups[g] for g in sorted(groups)}
+
+
+def group_stats(
+    ref: ReferenceClass, key: str, metric: str = "cost", thresholds: Sequence[float] = ()
+) -> dict[str, SummaryStats]:
+    """summarize() applied per group; groups with no usable data are omitted."""
+    return {g: _summary(r, thresholds) for g, r in group_ratios(ref, key, metric).items()}
 
 
 def debt_burden_share(debt_start: float, debt_end: float, project_cost: float) -> float:

@@ -33,7 +33,7 @@ from . import _rng
 from .cashflow import AppraisalModel, irr, net_stream, stressed_gain_pain
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import ComputeError, InputError
-from .refclass import check_levels, sorted_quantile
+from .refclass import sorted_quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -124,7 +124,7 @@ class StressConfig:
                     else float(shortfall_doc)
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed stress config document: {exc}") from None
 
 
@@ -228,21 +228,16 @@ class _ExactSum:
             raise ComputeError("the sum of the trial NPVs overflows a float") from None
 
 
-def run_stress(
-    model: AppraisalModel,
-    config: StressConfig,
-    quantile_ps: Sequence[float] = DEFAULT_NPV_QUANTILES,
-) -> StressResult:
+def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     """Monte Carlo break probability and NPV distribution for a model.
 
     Trials are evaluated serially in spans of _CHUNK into one NPV array. The
     counter-based draws and order-insensitive aggregation make the result
     bit-identical for any chunking: the mean is an exact sum (_ExactSum, equal
-    to math.fsum of all NPVs) filled span by span; p_break (the share of
-    negative NPVs) and the quantiles come from one in-place sort of the array.
+    to math.fsum of all NPVs) filled span by span; p_break (the share of negative
+    NPVs) and the DEFAULT_NPV_QUANTILES come from one in-place sort of the array.
     A non-finite trial NPV, or a sum outside the float range, raises ComputeError.
     """
-    check_levels(quantile_ps)
     n = config.n_trials
     pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
     npvs = np.empty(n)
@@ -256,7 +251,7 @@ def run_stress(
     npvs.sort()
     p_break = int(np.searchsorted(npvs, 0.0)) / n
     se = math.sqrt(p_break * (1.0 - p_break) / n)
-    quantiles = dict(zip(map(float, quantile_ps), sorted_quantile(npvs, quantile_ps)))
+    quantiles = dict(zip(DEFAULT_NPV_QUANTILES, sorted_quantile(npvs, DEFAULT_NPV_QUANTILES)))
     return StressResult(p_break, se, quantiles, total.value() / n, n, config.seed)
 
 

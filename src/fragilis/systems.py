@@ -207,15 +207,20 @@ def _node_to_obj(node: Union[str, CompositionNode]):
     return {"kind": node.kind, "children": [_node_to_obj(c) for c in node.children]}
 
 
-def _node_from_obj(obj) -> Union[str, CompositionNode]:
+MAX_TREE_DEPTH = 100  # nesting levels a JSON composition tree may have
+
+
+def _node_from_obj(obj, depth: int = 1) -> Union[str, CompositionNode]:
     if isinstance(obj, str):
         return obj
+    if depth > MAX_TREE_DEPTH:
+        raise InputError(f"composition tree is nested deeper than {MAX_TREE_DEPTH} levels")
     try:
         kind = obj["kind"]
         children = obj["children"]
     except (KeyError, TypeError):
         raise InputError(f"malformed composition node: {obj!r}") from None
-    return CompositionNode(kind, tuple(_node_from_obj(c) for c in children))
+    return CompositionNode(kind, tuple(_node_from_obj(c, depth + 1) for c in children))
 
 
 def graph_to_json(graph: SystemGraph) -> str:
@@ -232,7 +237,7 @@ def graph_to_json(graph: SystemGraph) -> str:
 def graph_from_json(text: str) -> SystemGraph:
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # nested too deep for the parser
         raise InputError(f"system graph document is not valid JSON: {exc}") from None
     try:
         components = {
@@ -242,7 +247,7 @@ def graph_from_json(text: str) -> SystemGraph:
         root = _node_from_obj(doc["system"])
     except InputError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed system graph document: {exc}") from None
     if isinstance(root, str):
         root = CompositionNode("series", (root,))

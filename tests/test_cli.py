@@ -238,6 +238,73 @@ def test_stress_truncated_dist_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_DIST_DOC = {"anchors": [{"p": 0.5, "x": 1.2}, {"p": 0.8, "x": 1.6}], "floor_x": 0.4,
+             "tail": {"shape": 0.2, "scale": 0.3}}
+_CALIBRATED = {**_DIST_DOC, "tail": {"calibrate_mean": 1.5}}
+
+
+@pytest.mark.parametrize("doc", [
+    {**_DIST_DOC, "anchors": [{"p": "x", "x": 1.2}]},
+    {**_DIST_DOC, "floor_x": "x"},
+    {**_DIST_DOC, "tail": {"shape": "x", "scale": 0.3}},
+    {**_DIST_DOC, "tail": {"shape": 0.2, "scale": "x"}},
+    {**_DIST_DOC, "tail": {"calibrate_mean": "x"}},
+    {**_DIST_DOC, "mean_target": "x"},
+    {**_DIST_DOC, "tail": 3},
+    {**_DIST_DOC, "tail": None},
+    {**_CALIBRATED, "anchors": []},
+    {**_CALIBRATED, "anchors": [{"p": 0.5, "x": 1.2}, {"p": 0.5, "x": 1.6}]},  # repeated p
+    {**_CALIBRATED, "anchors": [{"p": 0.5, "x": -1.0}, {"p": 0.8, "x": 1.6}]},
+    {**_CALIBRATED, "anchors": [{"p": 0.5, "x": 0.0}, {"p": 0.8, "x": 1.6}]},
+])
+def test_malformed_dist_file_is_validation_error(tmp_path, capsys, doc):
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["stress", STYLIZED, "--dist", str(dist), "--trials", "100", "--seed", "1"],
+                 ["contingency", STYLIZED, "--dist", str(dist)]):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _model_doc(**fields) -> dict:
+    return {"discount_rate": 0.05, "capex": [{"t": 0, "amount": 100.0}],
+            "benefits": [{"t": 1, "amount": 20.0}], **fields}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, code", [
+    (json.dumps(_model_doc(base_year=1)).replace('"base_year": 1', '"base_year": 1e400'), 2),
+    (json.dumps(_model_doc(capex=[{"t": 0, "amount": 1e308}, {"t": 1, "amount": 1e308}])), 3),
+    (json.dumps(_model_doc(discount_rate=-0.5, benefits=[{"t": 1, "amount": 1e308}])), 3),
+])
+def test_overflowing_model_file_exits_cleanly(tmp_path, capsys, text, code):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    for argv in (["appraise", str(model)], ["grid", str(model)],
+                 ["stress", str(model), "--dist", "big-dam", "--trials", "100", "--seed", "1"]):
+        assert run(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "appraisal.json").exists() and not (out / "grid.json").exists()
+
+
+def test_far_future_cash_flows_have_a_finite_irr(tmp_path):
+    # at the scan's lowest rate, -0.99, a flow at t >= 155 is discounted by
+    # 0.01 ** -t > 1e308; the IRR scan skips such rates
+    benefits = [{"t": t, "amount": 10.0} for t in range(1, 161)]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc(benefits=benefits)), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["appraise", str(model), "--out", str(out)]) == 0
+    assert run(["grid", str(model), "--out", str(out)]) == 0
+    root = read_json(out / "appraisal.json")["irr"]
+    stream = [(0, -100.0)] + [(t, 10.0) for t in range(1, 161)]
+    assert abs(math.fsum(a * (1 + root) ** -t for t, a in stream)) < 1e-9
+    assert read_json(out / "grid.json")["irr"][0][1] == root  # cost 1, benefit 1
+
+
 def test_stress_infeasible_calibration_is_computation_error(tmp_path, capsys):
     dist_file = tmp_path / "impossible.json"
     dist_file.write_text(json.dumps({
@@ -378,6 +445,32 @@ def test_density_golden_digests(tmp_path, monkeypatch):
         for name in GOLDEN_DENSITY_SHA256
     }
     assert digests == GOLDEN_DENSITY_SHA256
+
+
+# stats.json per --group and test.json for --test decades, on the bundled CSV
+GOLDEN_GROUPED_SHA256 = {
+    ("stats", "region", "cost"): "d82d86f27d0794c9a101038613edb751d8200a9fc7adbf19734ef94e3902ec42",
+    ("stats", "type", "cost"): "f6b4badf94a0572d6a0d85706f808527753f27bc481c37623540ca85229525e9",
+    ("stats", "decade", "cost"): "be11a63bcb9d751559cbae8d05ad6d1cfa97e28f7005e913df3f1b66f816caf7",
+    ("test", "decades", "cost"): "0f4cabb0c564aae230a61ab79848274787391c1a1328c45729b6c5d93fef7daa",
+    ("stats", "region", "schedule"): "e2c1e7f6b257bd38e8a9ed1d823865966d538b948ef2850409691ba8b6776b9f",
+    ("stats", "type", "schedule"): "642469798d22b333903385435159836c3e00def1f0a16c582a928d99c92f4c36",
+    ("stats", "decade", "schedule"): "5dc064ada494b5961222fab57468a293bc447140921c0886be618a9a4effc342",
+    ("test", "decades", "schedule"): "5f0ec70bf4a122302b21bb8a217061859f95bd4e34bc84285324f7d9631f526b",
+}
+
+
+@pytest.mark.parametrize("command,choice,metric", sorted(GOLDEN_GROUPED_SHA256))
+def test_grouped_golden_digests(tmp_path, monkeypatch, command, choice, metric):
+    monkeypatch.chdir(tmp_path)  # relative input path: the "source" field is fixed
+    shutil.copy(FIXTURE, "records.csv")
+    if command == "stats":
+        args = ["stats", "records.csv", "--group", choice, "--threshold", "1.5"]
+    else:
+        args = ["test", "records.csv", "--test", choice]
+    assert run(args + ["--metric", metric, "--out", "o"]) == 0
+    artifact = (tmp_path / "o" / f"{command}.json").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == GOLDEN_GROUPED_SHA256[command, choice, metric]
 
 
 def test_density_zero_variance_is_computation_error(tmp_path):

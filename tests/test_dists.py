@@ -73,13 +73,15 @@ def test_non_monotone_anchors_rejected():
         build_quantile_dist([(0.5, 1.5), (0.5, 1.8)], 0.4, tail_shape=0.1, tail_scale=0.5)
     with pytest.raises(InputError):
         build_quantile_dist([(0.5, 0.3)], 0.4, tail_shape=0.1, tail_scale=0.5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            build_quantile_dist([(0.5, 1.5), (0.7, x)], 0.4, tail_shape=0.1, tail_scale=0.5)
 
 
 def test_tail_parameter_validation():
-    with pytest.raises(InputError):
-        GeneralizedParetoTail(1.0, 0.5)
-    with pytest.raises(InputError):
-        GeneralizedParetoTail(0.2, 0.0)
+    for shape, scale in ((1.0, 0.5), (0.2, 0.0), (-math.inf, 0.5), (0.2, math.inf), (0.2, math.nan)):
+        with pytest.raises(InputError):
+            GeneralizedParetoTail(shape, scale)
 
 
 def test_calibration_infeasible_errors():

@@ -13,6 +13,7 @@ from fragilis.refclass import (
     debt_burden_share,
     decade_label,
     deflate,
+    group_ratios,
     group_stats,
     quantile,
     read_records_csv,
@@ -185,6 +186,11 @@ def test_quantile_matches_brute_force_exactly():
             assert quantile(values, (p,))[0] == _quantile_oracle(values, p)
 
 
+def test_quantile_rejects_levels_outside_unit_interval():
+    with pytest.raises(InputError, match="quantile level must be in"):
+        quantile([1.0, 2.0], (0.5, 1.5))
+
+
 def test_quantile_close_to_numpy():
     rng = np.random.default_rng(14)
     values = list(rng.uniform(0.3, 4.0, size=33))
@@ -257,6 +263,46 @@ def test_group_stats_decade_partition():
 def test_group_stats_unknown_key():
     with pytest.raises(InputError):
         group_stats(class_from_cost_ratios([1.0]), "country")
+
+
+def test_group_ratios_one_pass_in_record_order():
+    records = (
+        make_record(1, act_cost=120.0, year=1991, est_benefit=100.0, act_benefit=90.0),
+        make_record(2, act_cost=150.0, year=1975),  # no benefit data
+        make_record(3, act_cost=110.0, year=1993, est_benefit=200.0, act_benefit=250.0),
+        make_record(4, act_cost=130.0, year=1978),
+    )
+    ref = ReferenceClass(records)
+    by_decade = group_ratios(ref, "decade")
+    assert list(by_decade) == ["1970s", "1990s"]
+    assert by_decade == {"1970s": [1.5, 1.3], "1990s": [1.2, 1.1]}
+    assert group_ratios(ref, "decade", "benefit") == {"1990s": [0.9, 1.25]}  # 1970s left out
+    assert list(group_stats(ref, "decade", "benefit")) == ["1990s"]
+
+
+def test_group_stats_builds_no_reference_class(monkeypatch):
+    import fragilis.refclass as rc
+
+    ref = class_from_cost_ratios([1.1, 1.2, 1.3])  # one region: its group is the whole class
+    monkeypatch.setattr(rc, "ReferenceClass", None)  # any construction would now fail
+    assert group_stats(ref, "region", "cost", (1.15,)) == {"Asia": summarize(ref, "cost", (1.15,))}
+
+
+def test_group_stats_checks_metric_on_an_empty_class():
+    with pytest.raises(InputError, match="unknown metric"):
+        group_stats(ReferenceClass(()), "region", "npv")
+    with pytest.raises(InputError, match="unknown group key"):
+        group_ratios(ReferenceClass(()), "country", "npv")
+    assert group_stats(ReferenceClass(()), "region") == {}
+
+
+def test_group_ratios_benefit_raises_at_first_bad_record():
+    records = (
+        make_record(1, region=Region.EUROPE, est_benefit=-1.0, act_benefit=1.0),
+        make_record(2, region=Region.AFRICA, est_benefit=-2.0, act_benefit=1.0),
+    )
+    with pytest.raises(InputError, match="got -1.0"):
+        group_stats(ReferenceClass(records), "region", "benefit")
 
 
 def test_benefit_metric_pairwise_exclusion():

@@ -259,18 +259,6 @@ def test_negative_npv_is_bcr_below_one(pairs):
             assert (gain - pain < 0.0) == (gain / pain < 1.0)
 
 
-def test_run_stress_checks_levels_before_any_draw(canonical_dist, monkeypatch):
-    calls = []
-    real_uniforms = _rng.uniforms
-    monkeypatch.setattr(_rng, "uniforms", lambda *a: calls.append(a) or real_uniforms(*a))
-    config = StressConfig(n_trials=1000, seed=1, capex_dist=canonical_dist)
-    with pytest.raises(InputError, match="quantile level"):
-        run_stress(bcr_model(1.4), config, quantile_ps=(0.5, 1.5))
-    assert calls == []
-    run_stress(bcr_model(1.4), config)  # the spy does see a valid run's draws
-    assert calls
-
-
 def test_run_stress_vectorized_matches_literal_path(canonical_dist):
     slip_dist = build_quantile_dist(
         [(0.2, 1.0), (0.5, 1.27)], floor_x=0.7, mean_target=1.44
