@@ -22,7 +22,6 @@ from .cashflow import (
     net_stream,
     npv,
     payoff_curve,
-    save_model,
 )
 from .dists import GeneralizedParetoTail, QuantileDistribution, build_quantile_dist, load_dist
 from .errors import (

@@ -4,6 +4,13 @@ Discounting, NPV, benefit-to-cost ratio, IRR, the sorted gain/pain payoff
 curve, and the two break-even fragility thresholds: the capex overrun
 multiplier and the benefit/O&M delay at which the project's BCR hits 1.
 
+AppraisalModel computes its three present values B (benefits), C (capex)
+and O (O&M) once, at construction. npv, bcr and both break-evens are each
+one formula over them, as are the stressed figures in stress.py. Only irr
+(at each rate it tries) and payoff_curve (entry by entry) discount again.
+A ratio whose pain sum overflows, whose divisor is 0 or whose value leaves
+the float range raises ComputeError rather than returning inf.
+
 Conventions (documented, not configurable):
   * discrete annual compounding (1 + r) ** -t, fractional t allowed;
   * delay shifts benefits and O&M in time but leaves capex on its original
@@ -20,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ComputeError, InputError
 
@@ -97,6 +104,19 @@ class CashFlowStream:
         return CashFlowStream(tuple((t + years, a) for t, a in self.entries))
 
 
+def _finite(what: str, compute: Callable[[], float]) -> float:
+    """compute(), the one check on every ratio over the present values: a sum
+    that overflows, a zero divisor or a result that is not a finite float
+    raises ComputeError."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):  # from fsum's running total or a division
+        value = math.nan
+    if not math.isfinite(value):
+        raise ComputeError(f"{what} is not a finite float")
+    return value
+
+
 def _require_nonnegative(stream: CashFlowStream, role: str) -> None:
     for t, a in stream.entries:
         if a < 0:
@@ -110,6 +130,10 @@ class AppraisalModel:
     capex and om_costs are pain, benefits are gain; all amounts >= 0 and in
     the same constant base-year currency. Total discounted pain must be
     positive. om_costs=None means the project has no O&M leg.
+
+    pv_benefits, pv_capex and pv_om (B, C, O) are the streams' present values
+    at discount_rate, computed once after the input checks. They are derived,
+    so they take no part in equality or repr.
     """
 
     capex: CashFlowStream
@@ -117,6 +141,9 @@ class AppraisalModel:
     discount_rate: float
     om_costs: CashFlowStream = field(default_factory=CashFlowStream.zero)
     base_year: int = 0
+    pv_benefits: float = field(init=False, repr=False, compare=False)
+    pv_capex: float = field(init=False, repr=False, compare=False)
+    pv_om: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.om_costs is None:
@@ -126,34 +153,26 @@ class AppraisalModel:
         _require_nonnegative(self.capex, "capex")
         _require_nonnegative(self.om_costs, "O&M")
         _require_nonnegative(self.benefits, "benefit")
-        if not self.pv_pain() > 0.0:
+        r = self.discount_rate
+        object.__setattr__(self, "pv_benefits", self.benefits.present_value(r))
+        object.__setattr__(self, "pv_capex", self.capex.present_value(r))
+        object.__setattr__(self, "pv_om", self.om_costs.present_value(r))
+        pain = _finite("present value of pain", lambda: math.fsum((self.pv_capex, self.pv_om)))
+        if not pain > 0.0:
             raise InputError("present value of total pain must be positive")
-
-    def pv_capex(self) -> float:
-        return self.capex.present_value(self.discount_rate)
-
-    def pv_om(self) -> float:
-        return self.om_costs.present_value(self.discount_rate)
-
-    def pv_benefits(self) -> float:
-        return self.benefits.present_value(self.discount_rate)
-
-    def pv_pain(self) -> float:
-        return math.fsum((self.pv_capex(), self.pv_om()))
 
 
 def npv(model: AppraisalModel) -> float:
-    """Discounted benefits minus discounted capex and O&M."""
-    return math.fsum((model.pv_benefits(), -model.pv_capex(), -model.pv_om()))
+    """Discounted benefits minus discounted capex and O&M: B - C - O."""
+    return math.fsum((model.pv_benefits, -model.pv_capex, -model.pv_om))
 
 
-def bcr(model: AppraisalModel) -> float:
-    """Gain-to-pain ratio: PV(benefits) / PV(capex + O&M). Below 1 the
+def bcr(model: AppraisalModel, cost_mult: float = 1.0, benefit_mult: float = 1.0) -> float:
+    """Gain-to-pain ratio b*B / (k*C + O), with capex scaled by cost_mult = k
+    and benefits by benefit_mult = b as apply_stress scales them. Below 1 the
     project is broken."""
-    pain = model.pv_pain()
-    if pain <= 0.0:
-        raise InputError("BCR undefined: present value of pain is zero")
-    return model.pv_benefits() / pain
+    return _finite("BCR", lambda: benefit_mult * model.pv_benefits
+                   / math.fsum((cost_mult * model.pv_capex, model.pv_om)))
 
 
 def net_stream(
@@ -273,13 +292,12 @@ def break_even_overrun(model: AppraisalModel, benefit_shortfall: float = 0.0) ->
     """
     if not 0.0 <= benefit_shortfall < 1.0:
         raise InputError(f"benefit shortfall must be in [0, 1), got {benefit_shortfall}")
-    pv_capex = model.pv_capex()
-    if pv_capex <= 0.0:
+    if model.pv_capex <= 0.0:
         raise InputError("break-even overrun undefined: PV(capex) is zero")
-    k = (model.pv_benefits() * (1.0 - benefit_shortfall) - model.pv_om()) / pv_capex
-    if k < 0.0:
+    surplus = model.pv_benefits * (1.0 - benefit_shortfall) - model.pv_om
+    if surplus < 0.0:
         return BreakEvenOverrun(0.0, True)
-    return BreakEvenOverrun(k, False)
+    return BreakEvenOverrun(_finite("break-even overrun", lambda: surplus / model.pv_capex), False)
 
 
 def apply_stress(
@@ -307,11 +325,12 @@ def apply_stress(
     )
 
 
-def stressed_gain_pain(pv_b, pv_c, pv_o, cost_mult, benefit_mult, x):
-    """(gain, pain) of apply_stress from the unstressed PVs (B, C, O), with x the
-    delay's discount factor: gain = benefit_mult*x*B, pain = cost_mult*C + x*O;
-    npv = gain - pain, bcr = gain / pain. Elementwise on floats and numpy arrays."""
-    return benefit_mult * x * pv_b, cost_mult * pv_c + x * pv_o
+def stressed_gain_pain(model: AppraisalModel, cost_mult, benefit_mult, x):
+    """(gain, pain) of apply_stress from the model's unstressed PVs (B, C, O),
+    with x the delay's discount factor: gain = benefit_mult*x*B, pain =
+    cost_mult*C + x*O, so npv = gain - pain. Elementwise on numpy arrays; it
+    serves run_stress's trials, and bcr is the scalar ratio with x = 1."""
+    return benefit_mult * x * model.pv_benefits, cost_mult * model.pv_capex + x * model.pv_om
 
 
 class BreakEvenDelay(NamedTuple):
@@ -329,12 +348,14 @@ def break_even_delay(model: AppraisalModel) -> BreakEvenDelay:
     d=0 reports 0 years with the threshold flag; a non-positive discount rate
     or zero capex makes delay harmless, reported as None.
     """
-    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
-    if pv_b / math.fsum((pv_c, pv_o)) <= 1.0:
+    if bcr(model) <= 1.0:
         return BreakEvenDelay(0.0, True)
-    if model.discount_rate <= 0.0 or pv_c == 0.0:
+    pv_c, r = model.pv_capex, model.discount_rate
+    if r <= 0.0 or pv_c == 0.0:
         return BreakEvenDelay(None, False)
-    return BreakEvenDelay(math.log((pv_b - pv_o) / pv_c) / math.log1p(model.discount_rate), False)
+    years = _finite("break-even delay",
+                    lambda: math.log((model.pv_benefits - model.pv_om) / pv_c) / math.log1p(r))
+    return BreakEvenDelay(years, False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,11 +381,9 @@ def appraise(model: AppraisalModel, benefit_shortfall: float = 0.0) -> Appraisal
     overrun = break_even_overrun(model, benefit_shortfall)
     delay = break_even_delay(model)
     d_star = None if delay.already_at_threshold else delay.years
-    # npv(model) and bcr(model), from one evaluation of the present values
-    pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
     return AppraisalResult(
-        npv=math.fsum((pv_b, -pv_c, -pv_o)),
-        bcr=pv_b / math.fsum((pv_c, pv_o)),
+        npv=npv(model),
+        bcr=bcr(model),
         irr=irr(net_stream(model)),
         break_even_overrun=overrun.k_star,
         break_even_delay=d_star,
@@ -430,7 +449,3 @@ def load_model(path: str | Path) -> AppraisalModel:
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise InputError(f"model file {path} is not valid JSON: {exc}") from None
     return model_from_dict(doc)
-
-
-def save_model(model: AppraisalModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2), encoding="utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -134,13 +134,7 @@ class TestResult:
     m: int
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "n": self.n,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +354,7 @@ class TrendResult:
     r_squared: float
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "n": self.n,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
+        return asdict(self)
 
 
 def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:

@@ -12,12 +12,13 @@ together), per-trial NPV and BCR reduce exactly to three present values:
     gain = b * x * B,   pain = k * C + x * O,   x = (1+r)**-d
     npv = gain - pain,  bcr = gain / pain
 
-where B, C, O are the unstressed present values of benefits, capex, and O&M.
-cashflow.stressed_gain_pain holds it: run_stress evaluates it vectorized and
-keeps the NPV alone (with pain >= 0, BCR < 1 exactly when NPV < 0), while
-sensitivity_grid and size_contingency take the BCR with x = 1. Only the grid's
-IRR needs a stressed cash flow stream, which net_stream builds with the cell's
-multipliers. Tests check both against apply_stress.
+where B, C, O are the unstressed present values of benefits, capex, and O&M,
+which AppraisalModel computes once when it is built. run_stress evaluates
+cashflow.stressed_gain_pain over them vectorized and keeps the NPV alone (with
+pain >= 0, BCR < 1 exactly when NPV < 0), while sensitivity_grid and
+size_contingency take cashflow.bcr with the multipliers and x = 1. Only the
+grid's IRR needs a stressed cash flow stream, which net_stream builds with the
+cell's multipliers. Tests check both against apply_stress.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _rng
-from .cashflow import AppraisalModel, irr, net_stream, stressed_gain_pain
+from .cashflow import AppraisalModel, bcr, irr, net_stream, stressed_gain_pain
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import ComputeError, InputError
 from .refclass import sorted_quantile
@@ -165,10 +166,10 @@ class StressResult:
 
 
 def _trial_arrays(
-    config: StressConfig, pvs: tuple[float, float, float], r: float, start: int, stop: int
+    config: StressConfig, model: AppraisalModel, start: int, stop: int
 ) -> np.ndarray:
     """NPVs of trial indices [start, stop), via the PV factorization of the
-    unstressed present values pvs = (B, C, O) at discount rate r."""
+    model's unstressed present values (B, C, O)."""
 
     def draw(dist: QuantileDistribution, tag: int) -> np.ndarray:
         return dist.sample_array(_rng.uniforms(config.seed, tag, start, stop))
@@ -177,12 +178,14 @@ def _trial_arrays(
     x = 1.0  # inputs that do not vary stay scalars; broadcasting gives the same bits
     if config.schedule_dist is not None:
         slippage = draw(config.schedule_dist, SCHEDULE_TAG)
-        x = (1.0 + r) ** -(np.maximum(slippage - 1.0, 0.0) * config.est_duration_years)
+        x = (1.0 + model.discount_rate) ** -(
+            np.maximum(slippage - 1.0, 0.0) * config.est_duration_years
+        )
     if isinstance(config.shortfall, QuantileDistribution):
         s = draw(config.shortfall, SHORTFALL_TAG)
     else:
         s = float(config.shortfall)
-    gain, pain = stressed_gain_pain(*pvs, k, 1.0 - s, x)
+    gain, pain = stressed_gain_pain(model, k, 1.0 - s, x)
     return gain - pain
 
 
@@ -239,13 +242,12 @@ def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     A non-finite trial NPV, or a sum outside the float range, raises ComputeError.
     """
     n = config.n_trials
-    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
     npvs = np.empty(n)
     total = _ExactSum()
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         with np.errstate(over="ignore", invalid="ignore"):  # total.add rejects non-finite NPVs
-            npvs[start:stop] = _trial_arrays(config, pvs, model.discount_rate, start, stop)
+            npvs[start:stop] = _trial_arrays(config, model, start, stop)
         total.add(npvs[start:stop])
 
     npvs.sort()
@@ -303,20 +305,17 @@ def sensitivity_grid(
     benefit_mults: Sequence[float],
     cost_mults: Sequence[float],
 ) -> SensitivityGrid:
-    """IRR and BCR, b*B / (k*C + O), for every (cost mult k, benefit mult b) pair."""
+    """IRR and BCR, bcr(model, k, b) = b*B / (k*C + O) over the model's present
+    values, for every (cost mult k, benefit mult b) pair."""
     benefit_mults = tuple(float(b) for b in benefit_mults)
     cost_mults = tuple(float(k) for k in cost_mults)
     if not all(0.0 < m < math.inf for m in benefit_mults + cost_mults):  # NaN fails too
         raise InputError("grid multipliers must be positive and finite")
-    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
-    rows = []
-    for k in cost_mults:
-        row = []
-        for b in benefit_mults:
-            gain, pain = stressed_gain_pain(*pvs, k, b, 1.0)
-            row.append(GridCell(irr(net_stream(model, k, b)), gain / pain))
-        rows.append(tuple(row))
-    return SensitivityGrid(benefit_mults, cost_mults, tuple(rows))
+    cells = tuple(
+        tuple(GridCell(irr(net_stream(model, k, b)), bcr(model, k, b)) for b in benefit_mults)
+        for k in cost_mults
+    )
+    return SensitivityGrid(benefit_mults, cost_mults, cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,12 +344,10 @@ def size_contingency(
     The uplift c = quantile(coverage) - 1 restates the budget at the chosen
     percentile of the overrun distribution; the project clears appraisal only
     if its BCR stays above 1 with capex scaled by (1 + c), i.e. if
-    B / ((1 + c)*C + O) > 1.
+    bcr(model, 1 + c) = B / ((1 + c)*C + O) > 1, over the model's present values.
     """
     if not 0.0 < coverage < 1.0:
         raise InputError(f"coverage must lie strictly inside (0, 1), got {coverage}")
     c = capex_dist.quantile(coverage) - 1.0
-    pvs = model.pv_benefits(), model.pv_capex(), model.pv_om()
-    gain, pain = stressed_gain_pain(*pvs, 1.0 + c, 1.0, 1.0)
-    adjusted = gain / pain
+    adjusted = bcr(model, 1.0 + c)
     return ContingencyResult(coverage, c, adjusted, adjusted > 1.0)

@@ -76,7 +76,7 @@ def test_c1_debt_burden_shares():
 
 @criterion("C2 threshold identity k* = BCR")
 def test_c2_break_even_overrun_identity(stylized):
-    assert stylized.pv_om() == 0.0
+    assert stylized.pv_om == 0.0
     k = break_even_overrun(stylized, benefit_shortfall=0.0)
     assert abs(k.k_star - 1.4) <= 1e-9 * 1.4
     assert abs(bcr(stylized) - 1.4) <= 1e-9 * 1.4

@@ -385,7 +385,7 @@ def test_break_even_delay_with_om_property():
         d_star = break_even_delay(m).years
         assert abs(bcr(apply_stress(m, delay_years=d_star)) - 1.0) < 1e-9
         checked += 1
-        with_om += m.pv_om() > 0.0
+        with_om += m.pv_om > 0.0
     assert with_om >= 100
 
 

@@ -135,6 +135,39 @@ def test_stress_overflowing_model_is_computation_error(tmp_path, capsys, capex, 
     assert not (out / "stress.json").exists()
 
 
+def _model_doc(rate, capex, benefits, om=()):
+    def legs(pairs):
+        return [{"t": t, "amount": a} for t, a in pairs]
+    return {"discount_rate": rate, "capex": legs(capex), "om": legs(om), "benefits": legs(benefits)}
+
+
+_TINY_CAPEX = _model_doc(0.1, [(0.0, 5e-324)], [(1.0, 100.0)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc, argv", [
+    # subnormal PV(capex) under a huge benefit: both break-evens leave the float range
+    (_model_doc(0.1, [(0.0, 1e-320)], [(1.0, 1e300)], [(0.0, 1.0)]), ["appraise"]),
+    (_TINY_CAPEX, ["appraise"]),  # BCR of 90.9 / 5e-324
+    (_TINY_CAPEX, ["contingency", "--dist", "big-dam"]),
+    (None, ["grid", "--cost-mults", "5e-324", "--benefit-mults", "1"]),  # the stylized dam
+    (_model_doc(0.1, [(0.0, 0.01)], [(1.0, 100.0)]), ["grid", "--cost-mults", "5e-324"]),  # pain 0
+    (_model_doc(0.1, [(0.0, 1e308)], [(1.0, 100.0)], [(0.0, 1e308)]), ["appraise"]),  # pain sum
+    (_model_doc(1e-310, [(0.0, 100.0)], [(0.0, 200.0)]), ["appraise"]),  # log1p(r) subnormal
+], ids=["overrun-delay", "bcr", "contingency", "grid-inf", "grid-zero-pain", "pain-sum", "delay"])
+def test_non_finite_ratio_is_computation_error(tmp_path, capsys, doc, argv):
+    model = Path(STYLIZED)
+    if doc is not None:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run([argv[0], str(model), *argv[1:], "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("computation error:")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_stress_infinite_duration_is_validation_error(tmp_path, capsys):
     for duration in ("inf", "nan"):
         rc = run(["stress", STYLIZED, "--dist", "big-dam", "--schedule-dist", "big-dam-schedule",
@@ -713,6 +746,10 @@ def _mutate(data: bytes, edits) -> bytes:
     return bytes(buf)
 
 
+def _reject_constant(name: str):
+    raise AssertionError(f"artifact holds the non-finite number {name}")
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(sorted(_FUZZ_TARGETS)), _EDITS)
 def test_cli_exit_codes_on_mutated_inputs(target, edits):
@@ -728,6 +765,11 @@ def test_cli_exit_codes_on_mutated_inputs(target, edits):
                 code = main(argv)
             assert code in (0, 2, 3), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
+        # only a command that exits 0 writes, so every JSON file in out but the
+        # fuzzed input is an artifact of a successful run: its numbers must be finite
+        for doc in (Path(tmp) / "out").glob("*.json"):
+            if doc != path:
+                json.loads(doc.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

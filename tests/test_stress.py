@@ -9,7 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragilis import _rng, stress
-from fragilis.cashflow import AppraisalModel, CashFlowStream, apply_stress, bcr, irr, net_stream, npv
+from fragilis.cashflow import (
+    AppraisalModel,
+    CashFlowStream,
+    apply_stress,
+    bcr,
+    break_even_delay,
+    break_even_overrun,
+    irr,
+    net_stream,
+    npv,
+)
 from fragilis.datasets import build_stylized_model, resolve_dist
 from fragilis.dists import build_quantile_dist
 from fragilis.errors import ComputeError, InputError
@@ -464,7 +474,7 @@ def test_grid_random_models_match_cell_recomputation():
         b_mults = sorted(rng.uniform(0.6, 1.4, size=3))
         k_mults = sorted(rng.uniform(0.8, 1.6, size=3))
         grid = sensitivity_grid(model, b_mults, k_mults)
-        pv_b, pv_c, pv_o = model.pv_benefits(), model.pv_capex(), model.pv_om()
+        pv_b, pv_c, pv_o = model.pv_benefits, model.pv_capex, model.pv_om
         for i, k in enumerate(k_mults):
             for j, b in enumerate(b_mults):
                 stressed = apply_stress(model, cost_mult=k, benefit_mult=b)
@@ -548,3 +558,34 @@ def test_contingency_degenerate_distribution():
 def test_contingency_validation(canonical_dist):
     with pytest.raises(InputError):
         size_contingency(bcr_model(1.4), canonical_dist, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# present values: computed once, when the model is built
+
+
+def test_present_values_computed_once_per_model(monkeypatch, canonical_dist):
+    calls = []
+    present_value = CashFlowStream.present_value
+
+    def counted(stream, rate):
+        calls.append(rate)
+        return present_value(stream, rate)
+
+    monkeypatch.setattr(CashFlowStream, "present_value", counted)
+    model = AppraisalModel(
+        capex=CashFlowStream(((0.0, 100.0), (1.0, 20.0))),
+        benefits=CashFlowStream.of((float(t), 30.0) for t in range(2, 12)),
+        om_costs=CashFlowStream.of((float(t), 2.0) for t in range(2, 12)),
+        discount_rate=0.07,
+    )
+    assert len(calls) == 3
+    npv(model)
+    bcr(model)
+    bcr(model, 1.3, 0.9)
+    break_even_overrun(model, 0.1)
+    break_even_delay(model)
+    size_contingency(model, canonical_dist, 0.8)
+    config = StressConfig(2000, 5, canonical_dist, resolve_dist("big-dam-schedule"), 6.0, 0.1)
+    run_stress(model, config)
+    assert len(calls) == 3
