@@ -325,14 +325,6 @@ def apply_stress(
     )
 
 
-def stressed_gain_pain(model: AppraisalModel, cost_mult, benefit_mult, x):
-    """(gain, pain) of apply_stress from the model's unstressed PVs (B, C, O),
-    with x the delay's discount factor: gain = benefit_mult*x*B, pain =
-    cost_mult*C + x*O, so npv = gain - pain. Elementwise on numpy arrays; it
-    serves run_stress's trials, and bcr is the scalar ratio with x = 1."""
-    return benefit_mult * x * model.pv_benefits, cost_mult * model.pv_capex + x * model.pv_om
-
-
 class BreakEvenDelay(NamedTuple):
     """Delay (years) at which BCR reaches 1; None when delay cannot break it."""
 

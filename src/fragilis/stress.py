@@ -13,10 +13,10 @@ together), per-trial NPV and BCR reduce exactly to three present values:
     npv = gain - pain,  bcr = gain / pain
 
 where B, C, O are the unstressed present values of benefits, capex, and O&M,
-which AppraisalModel computes once when it is built. run_stress evaluates
-cashflow.stressed_gain_pain over them vectorized and keeps the NPV alone (with
-pain >= 0, BCR < 1 exactly when NPV < 0), while sensitivity_grid and
-size_contingency take cashflow.bcr with the multipliers and x = 1. Only the
+which AppraisalModel computes once when it is built. run_stress's
+_trial_arrays evaluates gain - pain over them vectorized and keeps the NPV
+alone (with pain >= 0, BCR < 1 exactly when NPV < 0), while sensitivity_grid
+and size_contingency take cashflow.bcr with the multipliers and x = 1. Only the
 grid's IRR needs a stressed cash flow stream, which net_stream builds with the
 cell's multipliers. Tests check both against apply_stress.
 """
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _rng
-from .cashflow import AppraisalModel, bcr, irr, net_stream, stressed_gain_pain
+from .cashflow import AppraisalModel, bcr, irr, net_stream
 from .dists import QuantileDistribution, dist_from_dict
 from .errors import ComputeError, InputError
 from .refclass import sorted_quantile
@@ -185,8 +185,7 @@ def _trial_arrays(
         s = draw(config.shortfall, SHORTFALL_TAG)
     else:
         s = float(config.shortfall)
-    gain, pain = stressed_gain_pain(model, k, 1.0 - s, x)
-    return gain - pain
+    return (1.0 - s) * x * model.pv_benefits - (k * model.pv_capex + x * model.pv_om)
 
 
 class _ExactSum:
