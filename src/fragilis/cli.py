@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import secrets
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -103,9 +105,7 @@ def cmd_ingest(args) -> list[Path]:
             "label": result.reference_class.label,
             "n_accepted": result.n_accepted,
             "n_skipped": result.n_skipped,
-            "errors": [
-                {"row": e.row, "field": e.field, "message": e.message} for e in result.errors
-            ],
+            "errors": [asdict(e) for e in result.errors],
         },
     )
     print(f"ingested {result.n_accepted} records ({result.n_skipped} skipped)")
@@ -183,6 +183,8 @@ def cmd_test(args) -> list[Path]:
         years = [float(r.decision_year) for r in ref.records]
         result = trend_f(years, ref.ratios(args.metric)).to_dict()
         context = {"comparison": "ratio trend over decision year"}
+    if not math.isfinite(result["statistic"]):  # a perfect trend fit has F = inf
+        raise ComputeError(f"{args.test} test statistic is not finite: {result['statistic']}")
     out = _out_dir(args)
     _write_json(
         out / "test.json",
@@ -197,16 +199,7 @@ def cmd_appraise(args) -> list[Path]:
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
     out = _out_dir(args)
-    doc = {
-        "source": str(path),
-        "npv": result.npv,
-        "bcr": result.bcr,
-        "irr": result.irr,
-        "break_even_overrun": result.break_even_overrun,
-        "break_even_delay": result.break_even_delay,
-        "broken_regardless_of_capex": result.broken_regardless_of_capex,
-        "benefit_shortfall": args.shortfall,
-    }
+    doc = {"source": str(path), **asdict(result), "benefit_shortfall": args.shortfall}
     _write_json(out / "appraisal.json", doc)
     if args.format == "svg":
         curve = payoff_curve(model)

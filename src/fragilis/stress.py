@@ -4,7 +4,8 @@ Each trial draws a capex overrun multiplier, an optional schedule slippage
 (converted to years of delay), and an optional benefit shortfall, applies
 them to the model, and tests whether the BCR falls below 1. Trial draws are
 counter-based, a pure function of (seed, trial index, variable tag), so
-results are bit-identical no matter how trials are chunked.
+the NPV array, and every aggregate run_stress takes over the whole of it,
+is bit-identical no matter how trials are chunked.
 
 Under the stress semantics (capex scaled in place, benefits and O&M shifted
 together), per-trial NPV and BCR reduce exactly to three present values:
@@ -42,8 +43,6 @@ SHORTFALL_TAG = 3
 
 DEFAULT_NPV_QUANTILES = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
 _CHUNK = 262_144  # trials per span; bounds the per-span draw and evaluation temporaries
-_MIN_EXP = -1073  # frexp exponent of the smallest subnormal, 2**-1074 = 0.5 * 2**-1073
-_LOW_BITS = 26  # mantissa bits in the low half; the high half keeps the other 27
 
 MAX_TRIALS = 100_000_000
 """Largest n_trials a StressConfig accepts. run_stress keeps 8 bytes per
@@ -188,72 +187,33 @@ def _trial_arrays(
     return (1.0 - s) * x * model.pv_benefits - (k * model.pv_capex + x * model.pv_om)
 
 
-class _ExactSum:
-    """Exact sum of float64 values added span by span, rounded once at the end.
-
-    A small superaccumulator (Neal 2015, arXiv:1505.05571) in numpy. frexp
-    writes each value as m * 2**e; the integer mantissa m * 2**53 splits into
-    a high part floor(m * 2**27) and a low part of 26 bits, and each part is
-    summed per exponent with a float bincount. Every partial sum is a whole
-    number of units below 2**53 (spans of at most 2**26 values), so those
-    sums are exact, and int64 buckets carry them across spans (up to 2**36
-    values). value() joins the buckets into one Python integer and divides it
-    by a power of two, which rounds correctly, half to even, so it returns
-    the same float as math.fsum over all the values, in any order or split.
-    """
-
-    def __init__(self) -> None:
-        n_exps = 1024 - _MIN_EXP + 1  # frexp exponents of finite doubles
-        self._high = np.zeros(n_exps, dtype=np.int64)  # units of 2**(e - 27)
-        self._low = np.zeros(n_exps, dtype=np.int64)  # units of 2**(e - 53)
-
-    def add(self, values: np.ndarray) -> None:
-        if not np.isfinite(values).all():
-            raise ComputeError("a trial NPV is not finite: the stressed cash flows overflow")
-        m, e = np.frexp(values)
-        bucket = np.add(e, -_MIN_EXP, dtype=np.intp)
-        low = np.multiply(m, 2.0 ** (53 - _LOW_BITS), out=m)  # exact; in place: one array fewer
-        high = np.floor(low)
-        low -= high  # a multiple of 2**-26 in [0, 1)
-        sums = np.bincount(bucket, weights=high)
-        self._high[: len(sums)] += sums.astype(np.int64)
-        sums = np.bincount(bucket, weights=low) * 2.0**_LOW_BITS
-        self._low[: len(sums)] += sums.astype(np.int64)
-
-    def value(self) -> float:
-        total = 0  # in units of 2**(_MIN_EXP - 53)
-        for b in np.flatnonzero(self._high | self._low).tolist():
-            total += ((int(self._high[b]) << _LOW_BITS) + int(self._low[b])) << b
-        try:
-            return total / (1 << (53 - _MIN_EXP))
-        except OverflowError:
-            raise ComputeError("the sum of the trial NPVs overflows a float") from None
-
-
 def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     """Monte Carlo break probability and NPV distribution for a model.
 
-    Trials are evaluated serially in spans of _CHUNK into one NPV array. The
-    counter-based draws and order-insensitive aggregation make the result
-    bit-identical for any chunking: the mean is an exact sum (_ExactSum, equal
-    to math.fsum of all NPVs) filled span by span; p_break (the share of negative
-    NPVs) and the DEFAULT_NPV_QUANTILES come from one in-place sort of the array.
-    A non-finite trial NPV, or a sum outside the float range, raises ComputeError.
+    Trials are evaluated serially in spans of _CHUNK into one NPV array, which
+    is then sorted in place. The counter-based draws make the array, and so
+    the result, bit-identical for any chunking: p_break (the share of negative
+    NPVs) and the DEFAULT_NPV_QUANTILES are read from the sorted array, and the
+    mean is one numpy pairwise sum over it (within a few ulps of math.fsum).
+    A non-finite trial NPV, or a sum outside the float range, makes that sum
+    non-finite and raises ComputeError.
     """
     n = config.n_trials
     npvs = np.empty(n)
-    total = _ExactSum()
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        with np.errstate(over="ignore", invalid="ignore"):  # total.add rejects non-finite NPVs
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite-sum check below reports it
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
             npvs[start:stop] = _trial_arrays(config, model, start, stop)
-        total.add(npvs[start:stop])
-
-    npvs.sort()
+        npvs.sort()
+        total = float(npvs.sum())
+    if not math.isfinite(total):  # the sorted ends say which; NaN sorts last
+        if math.isfinite(npvs[0]) and math.isfinite(npvs[-1]):
+            raise ComputeError("the sum of the trial NPVs overflows a float")
+        raise ComputeError("a trial NPV is not finite: the stressed cash flows overflow")
     p_break = int(np.searchsorted(npvs, 0.0)) / n
     se = math.sqrt(p_break * (1.0 - p_break) / n)
     quantiles = dict(zip(DEFAULT_NPV_QUANTILES, sorted_quantile(npvs, DEFAULT_NPV_QUANTILES)))
-    return StressResult(p_break, se, quantiles, total.value() / n, n, config.seed)
+    return StressResult(p_break, se, quantiles, total / n, n, config.seed)
 
 
 def p_break_analytic(dist: QuantileDistribution, k_star: float) -> float:

@@ -580,6 +580,23 @@ def test_test_bias_without_underruns_is_computation_error(tmp_path):
     assert run(["test", str(csv_path), "--test", "bias", "--out", str(tmp_path / "o")]) == 3
 
 
+def test_test_trend_perfect_fit_is_computation_error(tmp_path, capsys):
+    # cost ratios 1, 2, 3 over decision years 1980-1982 lie on a line: trend_f gives F = inf
+    csv_path = tmp_path / "line.csv"
+    csv_path.write_text(
+        CSV_HEADER
+        + "\nA,Dam,X,Asia,road,1980,100,100,3,4,,"
+        + "\nB,Dam,X,Asia,road,1981,100,200,3,4,,"
+        + "\nC,Dam,X,Asia,road,1982,100,300,3,4,,\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run(["test", str(csv_path), "--test", "trend", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("computation error:")
+    assert not (out / "test.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # grid / contingency / report
 
