@@ -8,8 +8,9 @@ AppraisalModel computes its three present values B (benefits), C (capex)
 and O (O&M) once, at construction. npv, bcr and both break-evens are each
 one formula over them, as are the stressed figures in stress.py. Only irr
 (at each rate it tries) and payoff_curve (entry by entry) discount again.
-A ratio whose pain sum overflows, whose divisor is 0 or whose value leaves
-the float range raises ComputeError rather than returning inf.
+Every present value and every ratio over them goes through errors.finite:
+a sum that overflows, a divisor of 0 or a value outside the float range
+raises ComputeError rather than returning inf.
 
 Conventions (documented, not configurable):
   * discrete annual compounding (1 + r) ** -t, fractional t allowed;
@@ -23,13 +24,12 @@ All types are immutable; all operations are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import ComputeError, InputError
+from .errors import ComputeError, InputError, finite, load_json
 
 IRR_BRACKET = (-0.99, 10.0)
 _IRR_SCAN_SEGMENTS = 512
@@ -83,14 +83,8 @@ class CashFlowStream:
         """Sum of discounted amounts. math.fsum keeps the result exact, so it
         is independent of entry order. A term or sum past the float range
         raises ComputeError."""
-        try:
-            terms = [a * discount_factor(rate, t) for t, a in self.entries]
-            pv = math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-        except OverflowError:  # from a discount factor or fsum's running total
-            pv = math.nan
-        if not math.isfinite(pv):
-            raise ComputeError(f"present value at rate {rate} overflows a float")
-        return pv
+        return finite(f"present value at rate {rate} overflows a float",
+                      lambda: math.fsum(a * discount_factor(rate, t) for t, a in self.entries))
 
     def total(self) -> float:
         return math.fsum(a for _, a in self.entries)
@@ -102,19 +96,6 @@ class CashFlowStream:
         if years < 0:
             raise InputError(f"time shift must be >= 0, got {years}")
         return CashFlowStream(tuple((t + years, a) for t, a in self.entries))
-
-
-def _finite(what: str, compute: Callable[[], float]) -> float:
-    """compute(), the one check on every ratio over the present values: a sum
-    that overflows, a zero divisor or a result that is not a finite float
-    raises ComputeError."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):  # from fsum's running total or a division
-        value = math.nan
-    if not math.isfinite(value):
-        raise ComputeError(f"{what} is not a finite float")
-    return value
 
 
 def _require_nonnegative(stream: CashFlowStream, role: str) -> None:
@@ -157,7 +138,8 @@ class AppraisalModel:
         object.__setattr__(self, "pv_benefits", self.benefits.present_value(r))
         object.__setattr__(self, "pv_capex", self.capex.present_value(r))
         object.__setattr__(self, "pv_om", self.om_costs.present_value(r))
-        pain = _finite("present value of pain", lambda: math.fsum((self.pv_capex, self.pv_om)))
+        pain = finite("present value of pain is not a finite float",
+                      lambda: math.fsum((self.pv_capex, self.pv_om)))
         if not pain > 0.0:
             raise InputError("present value of total pain must be positive")
 
@@ -171,8 +153,8 @@ def bcr(model: AppraisalModel, cost_mult: float = 1.0, benefit_mult: float = 1.0
     """Gain-to-pain ratio b*B / (k*C + O), with capex scaled by cost_mult = k
     and benefits by benefit_mult = b as apply_stress scales them. Below 1 the
     project is broken."""
-    return _finite("BCR", lambda: benefit_mult * model.pv_benefits
-                   / math.fsum((cost_mult * model.pv_capex, model.pv_om)))
+    return finite("BCR is not a finite float", lambda: benefit_mult * model.pv_benefits
+                  / math.fsum((cost_mult * model.pv_capex, model.pv_om)))
 
 
 def net_stream(
@@ -297,7 +279,8 @@ def break_even_overrun(model: AppraisalModel, benefit_shortfall: float = 0.0) ->
     surplus = model.pv_benefits * (1.0 - benefit_shortfall) - model.pv_om
     if surplus < 0.0:
         return BreakEvenOverrun(0.0, True)
-    return BreakEvenOverrun(_finite("break-even overrun", lambda: surplus / model.pv_capex), False)
+    k_star = finite("break-even overrun is not a finite float", lambda: surplus / model.pv_capex)
+    return BreakEvenOverrun(k_star, False)
 
 
 def apply_stress(
@@ -345,8 +328,8 @@ def break_even_delay(model: AppraisalModel) -> BreakEvenDelay:
     pv_c, r = model.pv_capex, model.discount_rate
     if r <= 0.0 or pv_c == 0.0:
         return BreakEvenDelay(None, False)
-    years = _finite("break-even delay",
-                    lambda: math.log((model.pv_benefits - model.pv_om) / pv_c) / math.log1p(r))
+    years = finite("break-even delay is not a finite float",
+                   lambda: math.log((model.pv_benefits - model.pv_om) / pv_c) / math.log1p(r))
     return BreakEvenDelay(years, False)
 
 
@@ -435,9 +418,4 @@ def model_from_dict(doc: dict) -> AppraisalModel:
 
 
 def load_model(path: str | Path) -> AppraisalModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-            raise InputError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(load_json(path, "model file"))

@@ -1,10 +1,13 @@
 """Command-line surface: reproducible file-in/file-out analyses.
 
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
-report. Each command returns the input files it read; main then writes the
-run manifest (command line, input digests, seed, version, timestamp, and how
-the run went: the command's wall time, peak RSS, Python and numpy versions,
-trials per second for stress) next to the artifacts in the --out directory.
+report. Each command only loads and computes: it returns the input files it
+read, its artifacts and a one-line summary. main renders every JSON artifact
+with allow_nan=False, so a non-finite number is a computation error, and only
+then creates --out and writes the artifacts and the run manifest (command
+line, input digests, seed, version, timestamp, and how the run went: the
+command's wall time, peak RSS, Python and numpy versions, trials per second
+for stress). A command that fails writes nothing.
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import secrets
 import sys
 import time
@@ -25,31 +27,22 @@ import numpy as np
 
 from . import __version__, charts, datasets
 from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
-from .errors import ComputeError, InputError
+from .errors import ComputeError, InputError, load_json
 from .refclass import ReferenceClass, group_ratios, group_stats, read_records_csv, summarize
 from .stats import kde, mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
 from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency
 
 _GROUP_KEY_MAP = {"region": "region", "type": "project_type", "decade": "decade"}
+_Run = tuple[list[Path], dict, str]  # what a command returns; see Commands below
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit_manifest(args, inputs: list[Path], wall_s: float) -> None:
-    """Write manifest-<command>.json: provenance (command line, input digests,
-    seed, version, timestamp) and how the run went (wall time, peak RSS so far,
+def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
+    """manifest-<command>.json: provenance (command line, input digests, seed,
+    version, timestamp) and how the run went (wall time, peak RSS so far,
     runtime versions, and throughput for commands with --trials)."""
     import resource  # POSIX only; loaded when a run reports, not at import
 
@@ -62,7 +55,7 @@ def _emit_manifest(args, inputs: list[Path], wall_s: float) -> None:
     }
     if hasattr(args, "trials"):
         run["trials_per_s"] = args.trials / wall_s
-    manifest = {
+    return {
         "command": list(args.argv),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": getattr(args, "seed", None),
@@ -70,7 +63,18 @@ def _emit_manifest(args, inputs: list[Path], wall_s: float) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "run": run,
     }
-    _write_json(_out_dir(args) / f"manifest-{args.command}.json", manifest)
+
+
+def _render(name: str, artifact) -> str:
+    """The artifact's file content: a text as it is, a document as indented
+    JSON with sorted keys. JSON has no Infinity or NaN, so a non-finite
+    number in a document is a ComputeError."""
+    if isinstance(artifact, str):
+        return artifact
+    try:
+        return json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ComputeError(f"{name} would hold a non-finite number: {exc}") from None
 
 
 def _input_file(name: str, role: str) -> Path:
@@ -91,31 +95,27 @@ def _load_model(args) -> tuple[AppraisalModel, Path]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (input files read, {file name: JSON document or
+# text}, one-line summary) and writes nothing
 
 
-def cmd_ingest(args) -> list[Path]:
+def cmd_ingest(args) -> _Run:
     path = _input_file(args.records, "records")
     result = read_records_csv(path, strict=args.strict)
-    out = _out_dir(args)
-    _write_json(
-        out / "ingest.json",
-        {
-            "source": str(path),
-            "label": result.reference_class.label,
-            "n_accepted": result.n_accepted,
-            "n_skipped": result.n_skipped,
-            "errors": [asdict(e) for e in result.errors],
-        },
-    )
-    print(f"ingested {result.n_accepted} records ({result.n_skipped} skipped)")
-    return [path]
+    doc = {
+        "source": str(path),
+        "label": result.reference_class.label,
+        "n_accepted": result.n_accepted,
+        "n_skipped": result.n_skipped,
+        "errors": [asdict(e) for e in result.errors],
+    }
+    summary = f"ingested {result.n_accepted} records ({result.n_skipped} skipped)"
+    return [path], {"ingest.json": doc}, summary
 
 
-def cmd_stats(args) -> list[Path]:
+def cmd_stats(args) -> _Run:
     ref, path = _load_records(args)
     thresholds = tuple(args.threshold or ())
-    out = _out_dir(args)
     doc: dict = {"source": str(path), "metric": args.metric, "thresholds": list(thresholds)}
     if args.group:
         key = _GROUP_KEY_MAP[args.group]
@@ -125,43 +125,37 @@ def cmd_stats(args) -> list[Path]:
         }
     else:
         doc["summary"] = summarize(ref, args.metric, thresholds).to_dict()
-    _write_json(out / "stats.json", doc)
-    print(f"stats written for {len(ref)} records")
-    return [path]
+    return [path], {"stats.json": doc}, f"stats written for {len(ref)} records"
 
 
-def cmd_density(args) -> list[Path]:
+def cmd_density(args) -> _Run:
     ref, path = _load_records(args)
     ratios = ref.ratios(args.metric)
     trace = kde(ratios, bandwidth=args.bandwidth)
-    out = _out_dir(args)
-    csv_path = out / "density.csv"
     lines = ["value,density"] + [f"{v!r},{d!r}" for v, d in trace.to_csv_rows()]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(
-        out / "density.json",
-        {
+    artifacts = {
+        "density.csv": "\n".join(lines) + "\n",
+        "density.json": {
             "source": str(path),
             "metric": args.metric,
             "n": len(ratios),
             "bandwidth": trace.bandwidth,
             "grid_points": len(trace.grid),
-            "csv": csv_path.name,
+            "csv": "density.csv",
         },
-    )
+    }
     if args.format == "svg":
-        svg = charts.line_chart(
+        artifacts["density.svg"] = charts.line_chart(
             [(f"{args.metric} ratio density", trace.grid, trace.density)],
             title=f"Density trace of {args.metric} ratios",
             x_label="actual / estimated",
             y_label="density",
         )
-        (out / "density.svg").write_text(svg, encoding="utf-8")
-    print(f"density trace written ({len(trace.grid)} points, h={trace.bandwidth:.6g})")
-    return [path]
+    summary = f"density trace written ({len(trace.grid)} points, h={trace.bandwidth:.6g})"
+    return [path], artifacts, summary
 
 
-def cmd_test(args) -> list[Path]:
+def cmd_test(args) -> _Run:
     ref, path = _load_records(args)
     if args.test == "bias":
         over, under = overrun_bias_samples(ref.ratios(args.metric))
@@ -179,33 +173,26 @@ def cmd_test(args) -> list[Path]:
         by_decade = group_ratios(ref, "decade", args.metric)
         result = one_way_f(list(by_decade.values())).to_dict()
         context = {"groups": list(by_decade), "comparison": "ratio means across decades"}
-    else:  # trend
+    else:  # trend; a perfect fit has F = inf, which the JSON renderer rejects
         years = [float(r.decision_year) for r in ref.records]
         result = trend_f(years, ref.ratios(args.metric)).to_dict()
         context = {"comparison": "ratio trend over decision year"}
-    if not math.isfinite(result["statistic"]):  # a perfect trend fit has F = inf
-        raise ComputeError(f"{args.test} test statistic is not finite: {result['statistic']}")
-    out = _out_dir(args)
-    _write_json(
-        out / "test.json",
-        {"source": str(path), "metric": args.metric, "test": args.test,
-         "result": result, "context": context},
-    )
-    print(f"{args.test} test: statistic={result['statistic']:.6g} p={result['p_value']:.4g}")
-    return [path]
+    doc = {"source": str(path), "metric": args.metric, "test": args.test,
+           "result": result, "context": context}
+    summary = f"{args.test} test: statistic={result['statistic']:.6g} p={result['p_value']:.4g}"
+    return [path], {"test.json": doc}, summary
 
 
-def cmd_appraise(args) -> list[Path]:
+def cmd_appraise(args) -> _Run:
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
-    out = _out_dir(args)
     doc = {"source": str(path), **asdict(result), "benefit_shortfall": args.shortfall}
-    _write_json(out / "appraisal.json", doc)
+    artifacts = {"appraisal.json": doc}
     if args.format == "svg":
         curve = payoff_curve(model)
         counts_g = list(range(1, len(curve.cum_gain) + 1))
         counts_p = list(range(1, len(curve.cum_pain) + 1))
-        svg = charts.line_chart(
+        artifacts["payoff.svg"] = charts.line_chart(
             [
                 ("cumulative gain", counts_g, curve.cum_gain),
                 ("cumulative pain", counts_p, curve.cum_pain),
@@ -214,12 +201,11 @@ def cmd_appraise(args) -> list[Path]:
             x_label="cash flows, largest first",
             y_label="cumulative discounted value",
         )
-        (out / "payoff.svg").write_text(svg, encoding="utf-8")
-    print(f"bcr={result.bcr:.6g} npv={result.npv:.6g} k*={result.break_even_overrun:.6g}")
-    return [path]
+    summary = f"bcr={result.bcr:.6g} npv={result.npv:.6g} k*={result.break_even_overrun:.6g}"
+    return [path], artifacts, summary
 
 
-def cmd_stress(args) -> list[Path]:
+def cmd_stress(args) -> _Run:
     model, path = _load_model(args)
     capex_dist = datasets.resolve_dist(args.dist)
     schedule_dist = datasets.resolve_dist(args.schedule_dist) if args.schedule_dist else None
@@ -237,7 +223,6 @@ def cmd_stress(args) -> list[Path]:
         shortfall=shortfall,
     )
     result = run_stress(model, config)
-    out = _out_dir(args)
     doc = result.to_dict()
     doc["source"] = str(path)
     doc["capex_dist"] = args.dist
@@ -245,14 +230,13 @@ def cmd_stress(args) -> list[Path]:
         doc["schedule_dist"] = args.schedule_dist
         doc["est_duration_years"] = args.duration
     doc["shortfall"] = args.shortfall_dist or args.shortfall
-    _write_json(out / "stress.json", doc)
-    (out / "stress-npv-quantiles.csv").write_text(result.quantiles_csv(), encoding="utf-8")
-    print(
+    artifacts = {"stress.json": doc, "stress-npv-quantiles.csv": result.quantiles_csv()}
+    summary = (
         f"p_break={result.p_break:.4f} (se {result.p_break_se:.4f}) "
         f"over {result.n_trials} trials, seed {args.seed}"
     )
     dists = (args.dist, args.schedule_dist, args.shortfall_dist)
-    return [path] + [datasets.dist_path(d) for d in dists if d]
+    return [path] + [datasets.dist_path(d) for d in dists if d], artifacts, summary
 
 
 def _parse_mults(raw: str, name: str) -> list[float]:
@@ -265,36 +249,31 @@ def _parse_mults(raw: str, name: str) -> list[float]:
     return values
 
 
-def cmd_grid(args) -> list[Path]:
+def cmd_grid(args) -> _Run:
     model, path = _load_model(args)
     grid = sensitivity_grid(
         model,
         benefit_mults=_parse_mults(args.benefit_mults, "--benefit-mults"),
         cost_mults=_parse_mults(args.cost_mults, "--cost-mults"),
     )
-    out = _out_dir(args)
     doc = grid.to_dict()
     doc["source"] = str(path)
-    _write_json(out / "grid.json", doc)
-    (out / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
-    print(f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells")
-    return [path]
+    summary = f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells"
+    return [path], {"grid.json": doc, "grid.csv": grid.to_csv()}, summary
 
 
-def cmd_contingency(args) -> list[Path]:
+def cmd_contingency(args) -> _Run:
     model, path = _load_model(args)
     dist = datasets.resolve_dist(args.dist)
     result = size_contingency(model, dist, args.coverage)
-    out = _out_dir(args)
     doc = result.to_dict()
     doc["source"] = str(path)
     doc["capex_dist"] = args.dist
-    _write_json(out / "contingency.json", doc)
-    print(
+    summary = (
         f"contingency {result.contingency:.4f} at p={args.coverage:g}: "
         f"adjusted bcr {result.adjusted_bcr:.4f} -> {doc['decision']}"
     )
-    return [path, datasets.dist_path(args.dist)]
+    return [path, datasets.dist_path(args.dist)], {"contingency.json": doc}, summary
 
 
 _REPORT_SECTIONS = (
@@ -326,8 +305,8 @@ def _render_value(value, indent: int = 0) -> list[str]:
     return [f"{pad}- {json.dumps(value)}"]
 
 
-def cmd_report(args) -> list[Path]:
-    out = _out_dir(args)
+def cmd_report(args) -> _Run:
+    out = Path(args.out)
     lines = ["# Fragility analysis report", ""]
     found = []
     for filename, title in _REPORT_SECTIONS:
@@ -335,21 +314,13 @@ def cmd_report(args) -> list[Path]:
         if not path.is_file():
             continue
         found.append(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-            raise InputError(f"artifact {path} is not valid JSON: {exc}") from None
-        lines.append(f"## {title}")
-        lines.append("")
-        lines.append(f"Artifact: `{filename}`")
-        lines.append("")
-        lines.extend(_render_value(doc))
+        lines += [f"## {title}", "", f"Artifact: `{filename}`", ""]
+        lines += _render_value(load_json(path, "artifact"))
         lines.append("")
     if not found:
         raise InputError(f"no artifacts found in {out}; run an analysis command first")
-    (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"report.md summarizes {len(found)} artifact(s)")
-    return found
+    report = "\n".join(lines) + "\n"
+    return found, {"report.md": report}, f"report.md summarizes {len(found)} artifact(s)"
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule slippage distribution: bundled name or JSON file")
     p.add_argument("--duration", type=float, default=None,
                    help="estimated implementation duration in years (with --schedule-dist)")
-    p.add_argument("--shortfall", type=float, default=0.0)
-    p.add_argument("--shortfall-dist", default=None)
+    shortfall = p.add_mutually_exclusive_group()
+    shortfall.add_argument("--shortfall", type=float, default=0.0)
+    shortfall.add_argument("--shortfall-dist", default=None)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed; generated and recorded when omitted")
@@ -453,14 +425,22 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = effective
     try:
         started = time.perf_counter()
-        inputs = args.func(args)
-        _emit_manifest(args, inputs, time.perf_counter() - started)
+        inputs, artifacts, summary = args.func(args)
+        files = {name: _render(name, artifact) for name, artifact in artifacts.items()}
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+        manifest = _manifest(args, inputs, time.perf_counter() - started)
+        name = f"manifest-{args.command}.json"
+        (out / name).write_text(_render(name, manifest), encoding="utf-8")
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
+    print(summary)
     return 0
 
 

@@ -14,7 +14,6 @@ against analytic values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, InputError
+from .errors import CalibrationError, InputError, load_json
 
 MAX_TAIL_SHAPE = 0.99  # calibrated shapes live in (0, 0.99); >= 1 means infinite mean
 DEFAULT_FLOOR = 0.4  # suits overrun ratios: some projects underrun, none go to zero
@@ -218,9 +217,6 @@ class QuantileDistribution:
             d["mean_target"] = self.mean_target
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _junction_scale(anchor_ps: Sequence[float], anchor_xs: Sequence[float], floor_x: float) -> float:
     """GPD scale that matches the body's quantile slope at the junction,
@@ -328,9 +324,4 @@ def dist_from_dict(doc: dict) -> QuantileDistribution:
 
 
 def load_dist(path: str | Path) -> QuantileDistribution:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-            raise InputError(f"distribution file {path} is not valid JSON: {exc}") from None
-    return dist_from_dict(doc)
+    return dist_from_dict(load_json(path, "distribution file"))

@@ -1,8 +1,17 @@
-"""Exception taxonomy shared by the library and the CLI.
+"""Exception taxonomy shared by the library and the CLI, and its two checks.
 
 The CLI maps InputError to exit code 2 (validation) and ComputeError to
-exit code 3 (computation); everything else is a bug.
+exit code 3 (computation); everything else is a bug. finite is the overflow
+check on every scalar figure (run_stress checks its numpy sum itself), and
+load_json reads every model, distribution and report artifact file.
 """
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+from typing import Any, Callable
 
 
 class FragilisError(Exception):
@@ -23,3 +32,28 @@ class CalibrationError(ComputeError):
 
 class DegenerateSampleError(ComputeError):
     """A statistic is undefined because the sample carries no variance."""
+
+
+def finite(message: str, compute: Callable[[], float]) -> float:
+    """compute(), or ComputeError(message) when it leaves the float range: an
+    OverflowError, a ZeroDivisionError, the ValueError math.fsum raises for
+    inf - inf, or an inf or NaN result. An InputError passes through."""
+    try:
+        value = compute()
+    except InputError:
+        raise
+    except (OverflowError, ZeroDivisionError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ComputeError(message)
+    return value
+
+
+def load_json(path: str | Path, what: str) -> Any:
+    """The parsed JSON document at path. Bad JSON or UTF-8, or nesting too
+    deep, raises InputError naming the file as `what`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{what} {path} is not valid JSON: {exc}") from None

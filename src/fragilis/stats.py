@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputeError, DegenerateSampleError, InputError
+from .errors import ComputeError, DegenerateSampleError, InputError, finite
 from .refclass import quantile
 
 KDE_GRID_POINTS = 512
@@ -59,11 +59,8 @@ def silverman_bandwidth(sample: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(data, ddof=1))
-    if not math.isfinite(sd):
-        raise ComputeError(
-            "sample spread overflows the float range; pass an explicit bandwidth"
-        )
+        sd = finite("sample spread overflows the float range; pass an explicit bandwidth",
+                    lambda: float(np.std(data, ddof=1)))
     q25, q75 = quantile(data, (0.25, 0.75))
     iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
@@ -301,13 +298,8 @@ def f_sf(f_value: float, df1: float, df2: float) -> float:
 def _fsum(terms) -> float:
     """math.fsum of finite values, with a sum or square past the float range
     (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):
-        total = math.inf
-    if not math.isfinite(total):
-        raise ComputeError("a sum or square of the sample overflows the float range")
-    return total
+    return finite("a sum or square of the sample overflows the float range",
+                  lambda: math.fsum(terms))
 
 
 def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:

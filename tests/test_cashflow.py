@@ -19,7 +19,7 @@ from fragilis.cashflow import (
     npv,
     payoff_curve,
 )
-from fragilis.errors import InputError
+from fragilis.errors import ComputeError, InputError
 
 from conftest import random_model
 
@@ -114,6 +114,18 @@ def test_stream_rejects_unsorted_and_negative_time():
         CashFlowStream(((-1.0, 1.0),))
     with pytest.raises(InputError):
         CashFlowStream(())
+
+
+def test_present_value_bad_rate_is_input_error():
+    # the discount factor's InputError passes through the overflow check unchanged
+    with pytest.raises(InputError):
+        CashFlowStream(((1.0, 1.0),)).present_value(-1.0)
+
+
+def test_present_value_inf_minus_inf_is_compute_error():
+    # at rate -0.5 both terms overflow, to inf and -inf; fsum raises ValueError on them
+    with pytest.raises(ComputeError, match="overflows a float"):
+        CashFlowStream(((1.0, 1e308), (1.0, -1e308))).present_value(-0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fragilis import __version__, datasets, stress
 from fragilis.cli import main
+from fragilis.errors import ComputeError
 from fragilis.refclass import read_records_csv
 
 STYLIZED = str(datasets.asset_path("stylized-dam.json"))
@@ -239,6 +240,16 @@ def test_stress_records_shortfall_and_digests_every_dist(tmp_path, monkeypatch):
     inputs = read_json(out2 / "manifest-stress.json")["inputs"]
     assert inputs == {STYLIZED: digest(STYLIZED),
                       str(override / "big-dam.json"): digest(override / "big-dam.json")}
+
+
+def test_stress_shortfall_with_shortfall_dist_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(["stress", STYLIZED, "--dist", "big-dam", "--shortfall", "0.9",
+             "--shortfall-dist", "big-dam", "--trials", "100", "--seed", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument --shortfall" in capsys.readouterr().err
+    assert not (out / "stress.json").exists()
 
 
 def test_stress_trials_above_cap_rejected_before_allocating(tmp_path, capsys):
@@ -580,16 +591,18 @@ def test_test_bias_without_underruns_is_computation_error(tmp_path):
     assert run(["test", str(csv_path), "--test", "bias", "--out", str(tmp_path / "o")]) == 3
 
 
+# cost ratios 1, 2, 3 over decision years 1980-1982 lie on a line: trend_f gives F = inf
+_PERFECT_TREND_CSV = (
+    CSV_HEADER
+    + "\nA,Dam,X,Asia,road,1980,100,100,3,4,,"
+    + "\nB,Dam,X,Asia,road,1981,100,200,3,4,,"
+    + "\nC,Dam,X,Asia,road,1982,100,300,3,4,,\n"
+)
+
+
 def test_test_trend_perfect_fit_is_computation_error(tmp_path, capsys):
-    # cost ratios 1, 2, 3 over decision years 1980-1982 lie on a line: trend_f gives F = inf
     csv_path = tmp_path / "line.csv"
-    csv_path.write_text(
-        CSV_HEADER
-        + "\nA,Dam,X,Asia,road,1980,100,100,3,4,,"
-        + "\nB,Dam,X,Asia,road,1981,100,200,3,4,,"
-        + "\nC,Dam,X,Asia,road,1982,100,300,3,4,,\n",
-        encoding="utf-8",
-    )
+    csv_path.write_text(_PERFECT_TREND_CSV, encoding="utf-8")
     out = tmp_path / "o"
     assert run(["test", str(csv_path), "--test", "trend", "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -654,6 +667,12 @@ def test_report_without_artifacts_is_validation_error(tmp_path):
     assert run(["report", "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_report_into_missing_dir_does_not_create_it(tmp_path):
+    out = tmp_path / "missing"
+    assert run(["report", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_report_corrupt_artifact_is_validation_error(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
@@ -699,6 +718,17 @@ def test_every_command_manifest_records_how_the_run_went(tmp_path):
     assert len(read_json(out / "manifest-report.json")["inputs"]) == 8
 
 
+def test_failing_command_writes_nothing(tmp_path, monkeypatch):
+    # the chart is rendered after density.csv and density.json are computed
+    def fail(*args, **kwargs):
+        raise ComputeError("chart failed")
+
+    monkeypatch.setattr("fragilis.cli.charts.line_chart", fail)
+    out = tmp_path / "o"
+    assert run(["density", FIXTURE, "--format", "svg", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_data_dir_override(tmp_path, monkeypatch):
     override = tmp_path / "assets"
     override.mkdir()
@@ -735,6 +765,9 @@ _FUZZ_TARGETS = {
     "records.csv": (Path(FIXTURE).read_bytes(), (
         ["ingest", "{}"], ["stats", "{}", "--strict"], ["density", "{}"],
         ["test", "{}", "--test", "decades"],
+    )),
+    "line.csv": (_PERFECT_TREND_CSV.encode(), (
+        ["test", "{}", "--test", "trend"], ["test", "{}", "--test", "bias"],
     )),
     "out/appraisal.json": (b'{"bcr": 1.4, "irr": 0.155, "npv": 57.1, "source": "m.json"}\n', (
         ["report"],
@@ -782,8 +815,9 @@ def test_cli_exit_codes_on_mutated_inputs(target, edits):
                 code = main(argv)
             assert code in (0, 2, 3), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
-        # only a command that exits 0 writes, so every JSON file in out but the
-        # fuzzed input is an artifact of a successful run: its numbers must be finite
+        # main writes only after the whole command succeeds, and renders JSON
+        # with allow_nan=False: every JSON file in out but the fuzzed input is a
+        # successful run's artifact, and its numbers are finite
         for doc in (Path(tmp) / "out").glob("*.json"):
             if doc != path:
                 json.loads(doc.read_text(encoding="utf-8"), parse_constant=_reject_constant)
