@@ -18,15 +18,14 @@ Set FRAGILIS_DATA_DIR to load same-named files from another directory.
 from __future__ import annotations
 
 import json
-
 import os
 from importlib import resources
 from pathlib import Path
 
 from . import _rng
-from .cashflow import AppraisalModel, CashFlowStream, load_model
-from .dists import QuantileDistribution, load_dist
-from .errors import InputError
+from .cashflow import AppraisalModel, CashFlowStream, load_model, model_to_dict
+from .dists import QuantileDistribution, build_quantile_dist, load_dist
+from .errors import InputError, load_json
 from .refclass import (
     ProjectRecord,
     ReferenceClass,
@@ -104,7 +103,7 @@ def load_synthetic_records() -> ReferenceClass:
 
 
 def load_synthetic_summary() -> dict:
-    return json.loads(asset_path(SYNTHETIC_SUMMARY).read_text(encoding="utf-8"))
+    return load_json(asset_path(SYNTHETIC_SUMMARY), "summary file")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,6 @@ def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> Reference
     """Deterministic synthetic reference class drawn from the bundled
     distributions. Every field derives from counter-based uniforms, so the
     fixture is reproducible bit-for-bit on any platform."""
-    from .dists import build_quantile_dist  # local import to keep module load light
-
     cost_dist = build_quantile_dist(BIG_DAM_ANCHORS, BIG_DAM_FLOOR, mean_target=BIG_DAM_MEAN)
     slip_dist = build_quantile_dist(
         SCHEDULE_ANCHORS, SCHEDULE_FLOOR, mean_target=SCHEDULE_MEAN
@@ -234,42 +231,29 @@ def regenerate(target: Path | None = None) -> None:
     out = target or Path(resources.files("fragilis") / "data")
     out.mkdir(parents=True, exist_ok=True)
 
-    big_dam = _dist_asset_doc(
-        BIG_DAM,
-        BIG_DAM_ANCHORS,
-        BIG_DAM_FLOOR,
-        BIG_DAM_MEAN,
-        "Cost overrun ratios for the big-dam reference class. Quartile anchors "
-        "derived from the three-out-of-four overrun share and the published IQR; "
-        "P50/P53/P80/P90 and the mean are published values. Floor 0.4 is a "
-        "modeling choice for the underrun mass.",
-    )
-    schedule = _dist_asset_doc(
-        BIG_DAM_SCHEDULE,
-        SCHEDULE_ANCHORS,
-        SCHEDULE_FLOOR,
-        SCHEDULE_MEAN,
-        "Schedule slippage ratios for the big-dam reference class. CONFIDENCE "
-        "LOW: only the overrun share, median, and mean pin this distribution; "
-        "the floor and tail shape are modeling choices.",
-    )
-    (out / _DIST_FILES[BIG_DAM]).write_text(
-        json.dumps(big_dam, indent=2) + "\n", encoding="utf-8"
-    )
-    (out / _DIST_FILES[BIG_DAM_SCHEDULE]).write_text(
-        json.dumps(schedule, indent=2) + "\n", encoding="utf-8"
-    )
-
-    from .cashflow import model_to_dict
-
     model_doc = model_to_dict(build_stylized_model())
     model_doc["notes"] = (
         "Stylized big-dam business case: BCR 1.4 at an 11% real rate, "
         "upfront capex, level benefits over 30 years, no O&M."
     )
-    (out / "stylized-dam.json").write_text(
-        json.dumps(model_doc, indent=2) + "\n", encoding="utf-8"
-    )
+    docs = {
+        _DIST_FILES[BIG_DAM]: _dist_asset_doc(
+            BIG_DAM, BIG_DAM_ANCHORS, BIG_DAM_FLOOR, BIG_DAM_MEAN,
+            "Cost overrun ratios for the big-dam reference class. Quartile anchors "
+            "derived from the three-out-of-four overrun share and the published IQR; "
+            "P50/P53/P80/P90 and the mean are published values. Floor 0.4 is a "
+            "modeling choice for the underrun mass.",
+        ),
+        _DIST_FILES[BIG_DAM_SCHEDULE]: _dist_asset_doc(
+            BIG_DAM_SCHEDULE, SCHEDULE_ANCHORS, SCHEDULE_FLOOR, SCHEDULE_MEAN,
+            "Schedule slippage ratios for the big-dam reference class. CONFIDENCE "
+            "LOW: only the overrun share, median, and mean pin this distribution; "
+            "the floor and tail shape are modeling choices.",
+        ),
+        "stylized-dam.json": model_doc,
+    }
+    for name, doc in docs.items():
+        (out / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     ref = build_synthetic_records()
     write_records_csv(ref, out / SYNTHETIC_CSV)

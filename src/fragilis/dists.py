@@ -149,14 +149,22 @@ class QuantileDistribution:
         if x <= self.floor_x:
             return 0.0
         if x >= xs[-1]:
-            p_last = float(ps[-1])
-            return p_last + (1.0 - p_last) * self.tail.cdf_excess(x - float(xs[-1]))
-        idx = int(np.searchsorted(xs, x, side="left"))
-        if xs[idx] == x:
-            return float(ps[idx])
-        lo = idx - 1
-        frac = math.log(x / xs[lo]) / math.log(xs[idx] / xs[lo])
-        return float(ps[lo] + frac * (ps[idx] - ps[lo]))
+            p_last = ps[-1]
+            return p_last + (1.0 - p_last) * self.tail.cdf_excess(x - xs[-1])
+        # Segment [xs[hi-1], xs[hi]] holding x, by quantile_array's node-count rule
+        hi = 1 + sum(x > node for node in xs[1:-1])
+        if xs[hi] == x:
+            return ps[hi]
+        lo = hi - 1
+        frac = math.log(x / xs[lo]) / math.log(xs[hi] / xs[lo])
+        return ps[lo] + frac * (ps[hi] - ps[lo])
+
+    def support_upper(self) -> float:
+        """Upper endpoint of the support: inf unless the tail shape is
+        negative, which bounds it at x_last + scale/|shape|."""
+        if self.tail.shape >= 0.0:
+            return math.inf
+        return self.anchor_xs[-1] + self.tail.scale / -self.tail.shape
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         return self.quantile_array(u)
@@ -218,15 +226,10 @@ class QuantileDistribution:
         return d
 
 
-def _junction_scale(anchor_ps: Sequence[float], anchor_xs: Sequence[float], floor_x: float) -> float:
-    """GPD scale that matches the body's quantile slope at the junction,
-    making the density continuous across it."""
-    p_last = anchor_ps[-1]
-    x_last = anchor_xs[-1]
-    if len(anchor_ps) >= 2:
-        p_prev, x_prev = anchor_ps[-2], anchor_xs[-2]
-    else:
-        p_prev, x_prev = 0.0, floor_x
+def _junction_scale(dist: QuantileDistribution) -> float:
+    """GPD scale that matches the body's quantile slope at the junction of
+    dist's last two nodes, making the density continuous across it."""
+    (*_, p_prev, p_last), (*_, x_prev, x_last) = dist._nodes()
     slope = x_last * math.log(x_last / x_prev) / (p_last - p_prev)
     return (1.0 - p_last) * slope
 
@@ -266,8 +269,9 @@ def build_quantile_dist(
 
     # the probe validates the anchors before _junction_scale reads them; its
     # body mean does not depend on the tail
-    body = QuantileDistribution(ps, xs, floor_x, GeneralizedParetoTail(0.5, 1.0)).body_mean()
-    sigma = _junction_scale(ps, xs, floor_x)
+    probe = QuantileDistribution(ps, xs, floor_x, GeneralizedParetoTail(0.5, 1.0))
+    body = probe.body_mean()
+    sigma = _junction_scale(probe)
     p_last, x_last = ps[-1], xs[-1]
     tail_mass = 1.0 - p_last
 

@@ -49,11 +49,16 @@ def finite(message: str, compute: Callable[[], float]) -> float:
     return value
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_json(path: str | Path, what: str) -> Any:
-    """The parsed JSON document at path. Bad JSON or UTF-8, or nesting too
-    deep, raises InputError naming the file as `what`."""
+    """The parsed JSON document at path. Bad JSON or UTF-8, nesting too deep,
+    or the NaN, Infinity and -Infinity that RFC 8259 has no place for raise
+    InputError naming the file as `what`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{what} {path} is not valid JSON: {exc}") from None

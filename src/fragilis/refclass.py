@@ -6,10 +6,10 @@ ReferenceClass is a filterable collection of them; summarize() produces the
 distribution metrics used to benchmark new projects (mean, median, IQR,
 quantiles, overrun shares, threshold-breaking shares).
 
-CSV schema (header required, UTF-8, comma-delimited):
+CSV schema (header required, UTF-8, comma-delimited): ProjectRecord's fields,
   id,name,country,region,project_type,decision_year,est_cost,act_cost,
   est_months,act_months,est_benefit,act_benefit
-with empty strings for the optional benefit fields.
+in that order, with empty strings for the optional benefit fields.
 """
 
 from __future__ import annotations
@@ -18,28 +18,13 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-
-CSV_COLUMNS = (
-    "id",
-    "name",
-    "country",
-    "region",
-    "project_type",
-    "decision_year",
-    "est_cost",
-    "act_cost",
-    "est_months",
-    "act_months",
-    "est_benefit",
-    "act_benefit",
-)
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -51,6 +36,9 @@ class Region(enum.Enum):
     ASIA = "Asia"
     EUROPE = "Europe"
     OCEANIA = "Oceania"
+
+    def __str__(self) -> str:  # csv.writer writes str() of a non-string field
+        return self.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +80,8 @@ class ProjectRecord:
             if value is not None and not math.isfinite(value):
                 raise InputError(f"{label} must be a finite number, got {value}")
 
+
+CSV_COLUMNS = tuple(f.name for f in dataclass_fields(ProjectRecord))
 
 def cost_overrun_ratio(rec: ProjectRecord) -> float:
     """Actual outturn cost as a ratio of estimated cost."""
@@ -327,8 +317,8 @@ def _optional_float(raw: str) -> float | None:
     return float(raw) if raw else None
 
 
-# (parser, message for a value it rejects) per column, in CSV_COLUMNS order;
-# ProjectRecord(*values) relies on that order matching its fields.
+# (parser, message for a value it rejects) per column, in CSV_COLUMNS order:
+# ProjectRecord's own field order, so ProjectRecord(*values) takes a parsed row.
 _NOT_A_NUMBER = "not a number: {!r}"
 _COLUMN_PARSERS = (
     *[(str, "")] * 3,
@@ -404,16 +394,12 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
 
 def write_records_csv(ref: ReferenceClass, target: str | Path | io.TextIOBase) -> None:
     """Serialize a reference class back to the canonical CSV schema.
-    csv.writer writes floats with repr and None as an empty field, so a
-    read-back round-trips field-exact."""
+    csv.writer writes floats with repr, None as an empty field and a Region
+    as its value, so a read-back round-trips field-exact."""
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="", encoding="utf-8") as fh:
             write_records_csv(ref, fh)
             return
     writer = csv.writer(target)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        (r.id, r.name, r.country, r.region.value, r.project_type, r.decision_year,
-         r.est_cost, r.act_cost, r.est_months, r.act_months, r.est_benefit, r.act_benefit)
-        for r in ref.records
-    )
+    writer.writerows(map(astuple, ref.records))

@@ -82,7 +82,7 @@ class StressConfig:
         elif self.est_duration_years is not None:
             raise InputError("est_duration_years applies only with a schedule_dist; none given")
         if isinstance(self.shortfall, QuantileDistribution):
-            upper = _support_upper(self.shortfall)
+            upper = self.shortfall.support_upper()
             if not upper <= 1.0:
                 raise InputError(
                     f"shortfall distribution support must stay within (0, 1); "
@@ -126,12 +126,6 @@ class StressConfig:
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed stress config document: {exc}") from None
-
-
-def _support_upper(dist: QuantileDistribution) -> float:
-    if dist.tail.shape >= 0.0:
-        return math.inf
-    return dist.anchor_xs[-1] + dist.tail.scale / -dist.tail.shape
 
 
 @dataclass(frozen=True, slots=True)

@@ -684,6 +684,27 @@ def test_report_corrupt_artifact_is_validation_error(tmp_path, capsys):
     assert not (out / "report.md").exists()
 
 
+def test_report_non_finite_artifact_is_validation_error(tmp_path, capsys):
+    # RFC 8259 has no Infinity or NaN; the report must not copy them through
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "appraisal.json").write_text('{"bcr": Infinity, "npv": NaN}', encoding="utf-8")
+    assert run(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "appraisal.json is not valid JSON" in err
+    assert not (out / "report.md").exists()
+
+
+def test_model_with_nan_rate_is_validation_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_model_doc(discount_rate=math.nan)), encoding="utf-8")
+    assert '"discount_rate": NaN' in model.read_text(encoding="utf-8")
+    assert run(["appraise", str(model), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not valid JSON" in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest and data dir override
 

@@ -170,6 +170,22 @@ def _quantile_array_oracle(dist, p):
     return out
 
 
+def _cdf_oracle(dist, x):
+    """The searchsorted CDF that cdf replaced, kept as its bit-level reference."""
+    ps, xs = dist._nodes()
+    if x <= dist.floor_x:
+        return 0.0
+    if x >= xs[-1]:
+        p_last = float(ps[-1])
+        return p_last + (1.0 - p_last) * dist.tail.cdf_excess(x - float(xs[-1]))
+    idx = int(np.searchsorted(xs, x, side="left"))
+    if xs[idx] == x:
+        return float(ps[idx])
+    lo = idx - 1
+    frac = math.log(x / xs[lo]) / math.log(xs[idx] / xs[lo])
+    return float(ps[lo] + frac * (ps[idx] - ps[lo]))
+
+
 def _oracle_dists():
     return {
         "big-dam": resolve_dist("big-dam"),
@@ -214,6 +230,31 @@ def test_quantile_array_bit_identical_to_oracle(name):
     assert np.array_equal(dist.quantile_array(block), _quantile_array_oracle(dist, block))
     scalar = dist.quantile_array(np.float64(0.7))
     assert scalar.shape == () and scalar == _quantile_array_oracle(dist, np.float64(0.7))
+
+
+@pytest.mark.parametrize("name", list(_oracle_dists()))
+def test_cdf_bit_identical_to_oracle(name):
+    dist = _oracle_dists()[name]
+    nodes = np.array(dist._nodes()[1])
+    upper = dist.support_upper()
+    ends = []
+    if upper < math.inf:  # the bounded tail's endpoint and points either side of it
+        ends = [upper, np.nextafter(upper, 0.0), np.nextafter(upper, np.inf), upper + 1.0]
+    points = np.concatenate([
+        nodes,
+        np.nextafter(nodes, 0.0),
+        np.nextafter(nodes, np.inf),
+        [dist.floor_x, *ends],
+        dist.quantile_array(_rng.uniforms(3, 2, 0, 20_000)),
+    ])
+    for x in points.tolist():
+        got, expected = dist.cdf(x), _cdf_oracle(dist, x)
+        assert type(got) is float and got.hex() == expected.hex(), x
+    if dist.tail.shape >= 0.0:
+        assert upper == math.inf
+    else:
+        assert upper == dist.anchor_xs[-1] + dist.tail.scale / -dist.tail.shape
+        assert dist.cdf(upper) == 1.0
 
 
 def test_bounded_negative_shape_tail():

@@ -13,6 +13,7 @@ from fragilis.datasets import resolve_dist
 from fragilis.errors import ComputeError, DegenerateSampleError, InputError
 from fragilis.stats import (
     DensityTrace,
+    f_sf,
     kde,
     mann_whitney_u,
     one_way_f,
@@ -321,6 +322,24 @@ def test_incomplete_beta_against_scipy():
         mine = regularized_incomplete_beta(a, b, x)
         ref = float(sp_special.betainc(a, b, x))
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+_BETA_SHAPES = (0.05, 0.5, 1.0, 1.5, 3.0, 12.5, 40.0, 250.0)
+_BETA_XS = (1e-12, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6)
+_F_VALUES = (1e-3, 0.5, 1.0, 2.0, 5.0, 20.0, 1e3)
+_F_DFS = (1, 2, 3, 5, 10, 30, 120, 1000)
+
+
+def test_incomplete_beta_golden_digest():
+    # frozen from the Lentz loop with its two half-steps written out; any
+    # rewrite of _betacf must keep every bit
+    values = [regularized_incomplete_beta(a, b, x)
+              for a, b, x in itertools.product(_BETA_SHAPES, _BETA_SHAPES, _BETA_XS)]
+    values += [f_sf(f, df1, df2)
+               for f, df1, df2 in itertools.product(_F_VALUES, _F_DFS, _F_DFS)]
+    assert len(values) == 1088
+    digest = hashlib.sha256(",".join(map(float.hex, values)).encode())
+    assert digest.hexdigest() == "33534459ff5b41815883ae3ea5e58163b568807020a1cb5dcab5fc71b591f01c"
 
 
 # ---------------------------------------------------------------------------
