@@ -7,7 +7,7 @@ with allow_nan=False, so a non-finite number is a computation error, and only
 then creates --out and writes the artifacts and the run manifest (command
 line, input digests, seed, version, timestamp, and how the run went: the
 command's wall time, peak RSS, Python and numpy versions, trials per second
-for stress). A command that fails writes nothing.
+and worker threads for stress). A command that fails writes nothing.
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -30,7 +30,7 @@ from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
 from .errors import ComputeError, InputError, load_json
 from .refclass import ReferenceClass, group_ratios, group_stats, read_records_csv, summarize
 from .stats import kde, mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
-from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency
+from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency, worker_count
 
 _GROUP_KEY_MAP = {"region": "region", "type": "project_type", "decade": "decade"}
 _Run = tuple[list[Path], dict, str]  # what a command returns; see Commands below
@@ -43,7 +43,7 @@ def _sha256(path: Path) -> str:
 def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
     """manifest-<command>.json: provenance (command line, input digests, seed,
     version, timestamp) and how the run went (wall time, peak RSS so far,
-    runtime versions, and throughput for commands with --trials)."""
+    runtime versions, and throughput and worker threads for commands with --trials)."""
     import resource  # POSIX only; loaded when a run reports, not at import
 
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
@@ -55,6 +55,7 @@ def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
     }
     if hasattr(args, "trials"):
         run["trials_per_s"] = args.trials / wall_s
+        run["workers"] = worker_count(args.trials)
     return {
         "command": list(args.argv),
         "inputs": {str(p): _sha256(p) for p in inputs},

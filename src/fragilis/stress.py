@@ -5,7 +5,8 @@ Each trial draws a capex overrun multiplier, an optional schedule slippage
 them to the model, and tests whether the BCR falls below 1. Trial draws are
 counter-based, a pure function of (seed, trial index, variable tag), so
 the NPV array, and every aggregate run_stress takes over the whole of it,
-is bit-identical no matter how trials are chunked.
+is bit-identical no matter how trials are chunked or how many threads
+evaluate the chunks.
 
 Under the stress semantics (capex scaled in place, benefits and O&M shifted
 together), per-trial NPV and BCR reduce exactly to three present values:
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,13 +44,17 @@ SCHEDULE_TAG = 2
 SHORTFALL_TAG = 3
 
 DEFAULT_NPV_QUANTILES = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
-_CHUNK = 262_144  # trials per span; bounds the per-span draw and evaluation temporaries
+_CHUNK = 65_536  # trials per span; bounds the per-span draw and evaluation temporaries
+_WORKERS = (  # threads that evaluate spans at once: the CPUs this process may run on
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 MAX_TRIALS = 100_000_000
 """Largest n_trials a StressConfig accepts. run_stress keeps 8 bytes per
-trial (one NPV array, sorted in place) plus 11-19 MB of per-span
-temporaries: 0.8 GB at this cap. (tracemalloc peaks at 4M trials: 42.8 MB
-capex only, 46.7 MB full shape, 50.9 MB with a shortfall distribution.)"""
+trial (one NPV array, sorted in place) plus 3-5 MB of span temporaries per
+worker thread: 0.8 GB at this cap. (tracemalloc peaks at 4M trials on 2
+workers: 37.5 MB capex only, 39.5 MB full shape, 41.5 MB with a shortfall
+distribution.)"""
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,24 +187,41 @@ def _trial_arrays(
     return (1.0 - s) * x * model.pv_benefits - (k * model.pv_capex + x * model.pv_om)
 
 
+def worker_count(n_trials: int) -> int:
+    """Threads run_stress evaluates n_trials on: one per usable CPU, and no
+    more than there are spans of _CHUNK trials."""
+    return min(_WORKERS, -(-n_trials // _CHUNK))
+
+
 def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     """Monte Carlo break probability and NPV distribution for a model.
 
-    Trials are evaluated serially in spans of _CHUNK into one NPV array, which
-    is then sorted in place. The counter-based draws make the array, and so
-    the result, bit-identical for any chunking: p_break (the share of negative
-    NPVs) and the DEFAULT_NPV_QUANTILES are read from the sorted array, and the
-    mean is one numpy pairwise sum over it (within a few ulps of math.fsum).
-    A non-finite trial NPV, or a sum outside the float range, makes that sum
+    Trials are evaluated in spans of _CHUNK on worker_count(n) threads, each
+    span into its own slice of one NPV array, which is then sorted in place.
+    numpy releases the GIL inside its ufuncs, so spans run at once, and as
+    every draw is a pure function of (seed, trial index, tag) and the slices
+    are disjoint, the array, and so the result, is bit-identical for any
+    chunking and any worker count. p_break (the share of negative NPVs) and
+    the DEFAULT_NPV_QUANTILES are read from the sorted array, and the mean is
+    one numpy pairwise sum over it (within a few ulps of math.fsum). A
+    non-finite trial NPV, or a sum outside the float range, makes that sum
     non-finite and raises ComputeError.
     """
+    from concurrent.futures import ThreadPoolExecutor  # ~5 ms; kept out of `import fragilis`
+
     n = config.n_trials
     npvs = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite-sum check below reports it
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
+
+    def fill(start: int) -> None:
+        stop = min(start + _CHUNK, n)
+        # errstate is context-local, so each worker enters its own; the finite-sum check reports
+        with np.errstate(over="ignore", invalid="ignore"):
             npvs[start:stop] = _trial_arrays(config, model, start, stop)
-        npvs.sort()
+
+    with ThreadPoolExecutor(worker_count(n)) as pool:
+        list(pool.map(fill, range(0, n, _CHUNK)))  # reading every result re-raises a worker's error
+    npvs.sort()
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(npvs.sum())
     if not math.isfinite(total):  # the sorted ends say which; NaN sorts last
         if math.isfinite(npvs[0]) and math.isfinite(npvs[-1]):

@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -104,8 +106,9 @@ def test_stress_manifest_records_how_the_run_went(tmp_path):
     assert run(["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "2",
                 "--out", str(out)]) == 0
     run_doc = read_json(out / "manifest-stress.json")["run"]
-    assert set(run_doc) == {"wall_s", "trials_per_s", "peak_rss_mb", "python", "numpy"}
+    assert set(run_doc) == {"wall_s", "trials_per_s", "peak_rss_mb", "python", "numpy", "workers"}
     assert run_doc["wall_s"] > 0
+    assert run_doc["workers"] == stress.worker_count(1000) == 1  # 1000 trials fill one span
     assert run_doc["trials_per_s"] == pytest.approx(1000 / run_doc["wall_s"])
     assert 1 < run_doc["peak_rss_mb"] < 100_000
     assert run_doc["python"] == sys.version.split()[0]
@@ -733,10 +736,21 @@ def test_every_command_manifest_records_how_the_run_went(tmp_path):
         manifest = read_json(out / f"manifest-{argv[0]}.json")
         assert manifest["command"] == argv + records
         run_doc = manifest["run"]
-        assert set(run_doc) - {"trials_per_s"} == {"wall_s", "peak_rss_mb", "python", "numpy"}
+        stress_keys = {"trials_per_s", "workers"}
+        assert set(run_doc) - stress_keys == {"wall_s", "peak_rss_mb", "python", "numpy"}
         assert run_doc["wall_s"] > 0 and 1 < run_doc["peak_rss_mb"] < 100_000
         assert ("trials_per_s" in run_doc) == (argv[0] == "stress")
+        assert ("workers" in run_doc) == (argv[0] == "stress")
     assert len(read_json(out / "manifest-report.json")["inputs"]) == 8
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it
+    src = Path(stress.__file__).parents[1]
+    code = "import sys, fragilis.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_failing_command_writes_nothing(tmp_path, monkeypatch):

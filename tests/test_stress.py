@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -100,25 +101,34 @@ def test_run_stress_agrees_with_analytic_over_seeds(canonical_dist):
 
 
 def test_run_stress_deterministic_across_chunks(canonical_dist, monkeypatch):
+    # more worker threads than CPUs, switching as often as the interpreter allows:
+    # a span written twice, or not at all, would change the output
     model = build_stylized_model()
-    for seed in (0, 1, 2, 3, 4):
-        config = StressConfig(
-            n_trials=10_000,
-            seed=seed,
-            capex_dist=canonical_dist,
-            schedule_dist=near_degenerate_dist(1.3),
-            est_duration_years=8.6,
-            shortfall=0.05,
-        )
-        outputs = set()
-        for chunk in (10_000, 1000, 777, 256):
-            monkeypatch.setattr(stress, "_CHUNK", chunk)
-            outputs.add(run_stress(model, config).to_json())
-        assert len(outputs) == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in (0, 1, 2, 3, 4):
+            config = StressConfig(
+                n_trials=10_000,
+                seed=seed,
+                capex_dist=canonical_dist,
+                schedule_dist=near_degenerate_dist(1.3),
+                est_duration_years=8.6,
+                shortfall=0.05,
+            )
+            outputs = set()
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(stress, "_WORKERS", workers)
+                for chunk in (10_000, 1000, 777, 256):
+                    monkeypatch.setattr(stress, "_CHUNK", chunk)
+                    outputs.add(run_stress(model, config).to_json())
+            assert len(outputs) == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # SHA-256 of run_stress(...).to_json() for the stylized dam, seed 7, n = 262,145
-# trials (one past a _CHUNK span). At these inputs the pairwise sum over the
+# trials (one past four _CHUNK spans). At these inputs the pairwise sum over the
 # sorted NPVs rounds to their exact sum, so each mean is the correctly rounded
 # one. A speedup that changes any output bit fails here.
 GOLDEN_STRESS_SHA256 = {
@@ -161,8 +171,15 @@ def test_run_stress_mean_is_within_4_ulps_of_fsum():
         assert abs(mean - expected) <= 4 * math.ulp(expected), shape
 
 
+def _four_spans_on_two_workers(monkeypatch):
+    # 1000 trials in spans of 256; np.errstate does not reach pool threads,
+    # so each worker must silence any overflow in its own span itself
+    monkeypatch.setattr(stress, "_CHUNK", 256)
+    monkeypatch.setattr(stress, "_WORKERS", 2)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_run_stress_non_finite_npv_is_compute_error(canonical_dist):
+def test_run_stress_non_finite_npv_is_compute_error(canonical_dist, monkeypatch):
     # capex 1e308 times an overrun above 1 overflows to inf in the trial NPV
     model = AppraisalModel(
         capex=CashFlowStream(((0.0, 1e308),)),
@@ -172,9 +189,12 @@ def test_run_stress_non_finite_npv_is_compute_error(canonical_dist):
     config = StressConfig(n_trials=1000, seed=1, capex_dist=canonical_dist)
     with pytest.raises(ComputeError, match="not finite"):
         run_stress(model, config)
+    _four_spans_on_two_workers(monkeypatch)
+    with pytest.raises(ComputeError, match="not finite"):
+        run_stress(model, config)
 
 
-def test_run_stress_npv_sum_overflow_is_compute_error():
+def test_run_stress_npv_sum_overflow_is_compute_error(monkeypatch):
     # every trial NPV is about -1e306, finite, but 1000 of them sum past the float range
     model = AppraisalModel(
         capex=CashFlowStream(((0.0, 1e306),)),
@@ -182,6 +202,9 @@ def test_run_stress_npv_sum_overflow_is_compute_error():
         discount_rate=0.1,
     )
     config = StressConfig(n_trials=1000, seed=1, capex_dist=near_degenerate_dist(1.0))
+    with pytest.raises(ComputeError, match="overflows"):
+        run_stress(model, config)
+    _four_spans_on_two_workers(monkeypatch)
     with pytest.raises(ComputeError, match="overflows"):
         run_stress(model, config)
 
