@@ -229,6 +229,8 @@ def summarize(
 
 
 def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
+    if not all(map(math.isfinite, thresholds)):
+        raise InputError(f"thresholds must be finite, got {list(thresholds)}")
     n = len(ratios)
     arr = np.asarray(ratios, dtype=float)
     median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))

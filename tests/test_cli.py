@@ -404,6 +404,17 @@ def test_stats_known_fixture_matches_brute_force(tmp_path):
     assert summary["n"] == 4
 
 
+def test_stats_non_finite_threshold_is_validation_error(tmp_path, capsys):
+    for bad in ("nan", "inf", "1e400"):
+        for group in ([], ["--group", "decade"]):
+            out = tmp_path / f"o-{bad}-{len(group)}"
+            rc = run(["stats", FIXTURE, "--threshold", "1.4", "--threshold", bad,
+                      *group, "--out", str(out)])
+            assert rc == 2
+            assert "thresholds must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_stats_grouped_by_decade(tmp_path):
     out = tmp_path / "o"
     rc = run(["stats", FIXTURE, "--metric", "cost", "--threshold", "1.4",

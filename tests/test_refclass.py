@@ -146,6 +146,15 @@ def test_summarize_empty_class_error():
         summarize(ReferenceClass(()), "cost")
 
 
+def test_summarize_and_group_stats_reject_non_finite_thresholds():
+    ref = class_from_cost_ratios([0.9, 1.1, 1.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="thresholds must be finite"):
+            summarize(ref, "cost", (1.4, bad))
+        with pytest.raises(InputError, match="thresholds must be finite"):
+            group_stats(ref, "region", "cost", (bad,))
+
+
 def test_summarize_permutation_invariant():
     rng = np.random.default_rng(2)
     ratios = list(rng.uniform(0.5, 3.0, size=37))

@@ -12,6 +12,7 @@ from fragilis import _rng
 from fragilis.datasets import resolve_dist
 from fragilis.errors import ComputeError, DegenerateSampleError, InputError
 from fragilis.stats import (
+    EXACT_U_LIMIT,
     DensityTrace,
     f_sf,
     kde,
@@ -222,23 +223,65 @@ def _mwu_enumeration_oracle(x, y):
 
 
 def test_mwu_exact_matches_enumeration_oracle():
+    # every split of every N up to 12, tied and tie-free: the counted p-value
+    # equals the enumerated one bit for bit
     rng = np.random.default_rng(21)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, min(6, 11 - n)))
-        x = list(rng.integers(0, 8, size=n).astype(float))
-        y = list(rng.integers(0, 8, size=m).astype(float))
-        u_oracle, p_oracle = _mwu_enumeration_oracle(x, y)
-        result = mann_whitney_u(x, y)
-        assert result.method == "exact"
-        assert result.statistic == u_oracle
-        assert result.p_value == p_oracle
+    for total in range(2, 13):
+        for n in range(1, total):
+            for pooled in (rng.integers(0, 5, size=total).astype(float), rng.normal(size=total)):
+                x, y = list(pooled[:n]), list(pooled[n:])
+                u_oracle, p_oracle = _mwu_enumeration_oracle(x, y)
+                result = mann_whitney_u(x, y)
+                assert result.method == "exact"
+                assert result.statistic == u_oracle
+                assert result.p_value == p_oracle
+
+
+def test_mwu_exact_matches_scipy_without_ties():
+    rng = np.random.default_rng(31)
+    for total in range(2, EXACT_U_LIMIT + 1):
+        for n in sorted({1, total // 3 or 1, total // 2, total - 1}):
+            pooled = rng.normal(size=total)
+            x, y = list(pooled[:n]), list(pooled[n:])
+            result = mann_whitney_u(x, y)
+            ref = sp_stats.mannwhitneyu(x, y, method="exact", alternative="two-sided")
+            assert result.method == "exact"
+            assert result.statistic == ref.statistic
+            assert result.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
+
+
+def _rank_sum_enumeration_p(pooled, n):
+    """Two-sided exact p from scipy's midranks and a numpy enumeration of the
+    rank sum of every n-subset of the pooled sample."""
+    ranks = sp_stats.rankdata(pooled)
+    combos = np.array(list(itertools.combinations(range(len(pooled)), n)))
+    center = n * (len(pooled) + 1) / 2.0
+    sums = ranks[combos].sum(axis=1)
+    dev = abs(ranks[:n].sum() - center)
+    return int(np.count_nonzero(np.abs(sums - center) >= dev)) / len(combos)
+
+
+def test_mwu_exact_with_ties_matches_rank_sum_enumeration_above_12():
+    rng = np.random.default_rng(37)
+    for total in range(13, 19):
+        for n in (total // 2, 3):
+            pooled = rng.integers(0, 6, size=total).astype(float)
+            result = mann_whitney_u(list(pooled[:n]), list(pooled[n:]))
+            assert result.method == "exact"
+            assert result.p_value == _rank_sum_enumeration_p(pooled, n)
+
+
+def test_mwu_seven_vs_seven_full_separation_is_exact():
+    result = mann_whitney_u([8, 9, 10, 11, 12, 13, 14], [1, 2, 3, 4, 5, 6, 7])
+    assert result.method == "exact"
+    assert result.statistic == 49
+    assert result.p_value == 2 / 3432  # the two extreme labelings of C(14, 7)
 
 
 def test_mwu_normal_approx_u_matches_pairwise_oracle():
     # heavy ties (few distinct values) exercise the midrank runs
     rng = np.random.default_rng(23)
-    for total in (13, 14, 20, 57, 130, 251, 400):
+    for total in (EXACT_U_LIMIT + 1, EXACT_U_LIMIT + 2, EXACT_U_LIMIT + 8, 57, 130, 251, 400):
         for distinct in (2, 5, 40):
             n = int(rng.integers(1, total))
             x = list(rng.integers(0, distinct, size=n).astype(float) / 4.0)
@@ -298,7 +341,7 @@ def test_mwu_exact_p_monotone_under_growing_shift():
 def test_mwu_empty_sample_error():
     with pytest.raises(InputError):
         mann_whitney_u([], [1.0])
-    for x in ([1.0, math.nan], [math.nan] + [1.0] * 12):  # exact and normal paths
+    for x in ([1.0, math.nan], [math.nan] + [1.0] * EXACT_U_LIMIT):  # exact and normal paths
         with pytest.raises(InputError):
             mann_whitney_u(x, [2.0, 3.0])
 
