@@ -113,8 +113,9 @@ class AppraisalModel:
     positive. om_costs=None means the project has no O&M leg.
 
     pv_benefits, pv_capex and pv_om (B, C, O) are the streams' present values
-    at discount_rate, computed once after the input checks. They are derived,
-    so they take no part in equality or repr.
+    at discount_rate, computed once after the amount checks; the first one
+    rejects a rate at or below -1. They are derived, so they take no part in
+    equality or repr.
     """
 
     capex: CashFlowStream
@@ -129,8 +130,6 @@ class AppraisalModel:
     def __post_init__(self) -> None:
         if self.om_costs is None:
             object.__setattr__(self, "om_costs", CashFlowStream.zero())
-        if not self.discount_rate > -1.0:
-            raise InputError(f"discount rate must exceed -1, got {self.discount_rate}")
         _require_nonnegative(self.capex, "capex")
         _require_nonnegative(self.om_costs, "O&M")
         _require_nonnegative(self.benefits, "benefit")
@@ -228,21 +227,13 @@ def payoff_curve(model: AppraisalModel) -> PayoffCurve:
     """Discount every entry, sort gains and pains descending, and locate the
     point of fragility where cumulative pain overtakes cumulative gain.
     Zero amounts are not cash-flow events and are dropped."""
-    r = model.discount_rate
-    gains = sorted(
-        (a * discount_factor(r, t) for t, a in model.benefits.entries if a != 0.0),
-        reverse=True,
-    )
-    pains = sorted(
-        (
-            a * discount_factor(r, t)
-            for t, a in model.capex.entries + model.om_costs.entries
-            if a != 0.0
-        ),
-        reverse=True,
-    )
-    cum_gain = tuple(math.fsum(gains[: i + 1]) for i in range(len(gains)))
-    cum_pain = tuple(math.fsum(pains[: i + 1]) for i in range(len(pains)))
+    def curve(entries):  # the discounted amounts, descending, and their running totals
+        r = model.discount_rate
+        amounts = sorted((a * discount_factor(r, t) for t, a in entries if a != 0.0), reverse=True)
+        return tuple(amounts), tuple(math.fsum(amounts[: i + 1]) for i in range(len(amounts)))
+
+    gains, cum_gain = curve(model.benefits.entries)
+    pains, cum_pain = curve(model.capex.entries + model.om_costs.entries)
     total_gain = cum_gain[-1] if cum_gain else 0.0
     total_pain = cum_pain[-1] if cum_pain else 0.0
 
@@ -254,7 +245,7 @@ def payoff_curve(model: AppraisalModel) -> PayoffCurve:
             if p > g:
                 index = k
                 break
-    return PayoffCurve(tuple(gains), tuple(pains), cum_gain, cum_pain, index)
+    return PayoffCurve(gains, pains, cum_gain, cum_pain, index)
 
 
 class BreakEvenOverrun(NamedTuple):

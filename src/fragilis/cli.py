@@ -133,9 +133,8 @@ def cmd_density(args) -> _Run:
     ref, path = _load_records(args)
     ratios = ref.ratios(args.metric)
     trace = kde(ratios, bandwidth=args.bandwidth)
-    lines = ["value,density"] + [f"{v!r},{d!r}" for v, d in trace.to_csv_rows()]
     artifacts = {
-        "density.csv": "\n".join(lines) + "\n",
+        "density.csv": trace.to_csv(),
         "density.json": {
             "source": str(path),
             "metric": args.metric,
@@ -336,53 +335,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fragilis {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help, source=None):
+        """A subcommand that runs func, writes to --out and reads source: a
+        "model" JSON, or a "records" CSV with --strict; "ratios" adds the
+        ratio --metric to the records."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        if source == "model":
+            p.add_argument("model", help="appraisal model JSON file")
+        elif source:
+            p.add_argument("records", help="reference-class CSV file")
+            p.add_argument("--strict", action="store_true",
+                           help="abort on the first malformed row instead of skipping")
+        if source == "ratios":
+            p.add_argument("--metric", choices=["cost", "schedule"], default="cost")
+        return p
 
-    def add_records(p):
-        p.add_argument("records", help="reference-class CSV file")
-        p.add_argument("--strict", action="store_true",
-                       help="abort on the first malformed row instead of skipping")
-        p.add_argument("--metric", choices=["cost", "schedule"], default="cost")
-
-    p = sub.add_parser("ingest", help="validate a records CSV and report diagnostics")
-    p.add_argument("records")
-    p.add_argument("--strict", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stats", help="summary statistics of a reference class")
-    add_records(p)
+    command("ingest", cmd_ingest, "validate a records CSV and report diagnostics", "records")
+    p = command("stats", cmd_stats, "summary statistics of a reference class", "ratios")
     p.add_argument("--threshold", action="append", type=float,
                    help="breaking threshold (repeatable)")
     p.add_argument("--group", choices=sorted(_GROUP_KEY_MAP),
                    help="emit per-group statistics instead of one summary")
-    add_common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("density", help="kernel density trace of a ratio metric")
-    add_records(p)
+    p = command("density", cmd_density, "kernel density trace of a ratio metric", "ratios")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv", "svg"], default="csv")
-    add_common(p)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("test", help="bias / decades / trend tests on a reference class")
-    add_records(p)
+    p = command("test", cmd_test, "bias / decades / trend tests on a reference class", "ratios")
     p.add_argument("--test", choices=["bias", "decades", "trend"], required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_test)
-
-    p = sub.add_parser("appraise", help="NPV, BCR, IRR and break-even thresholds")
-    p.add_argument("model", help="appraisal model JSON file")
+    p = command("appraise", cmd_appraise, "NPV, BCR, IRR and break-even thresholds", "model")
     p.add_argument("--shortfall", type=float, default=0.0,
                    help="benefit shortfall fraction for the break-even overrun")
     p.add_argument("--format", choices=["json", "svg"], default="json")
-    add_common(p)
-    p.set_defaults(func=cmd_appraise)
-
-    p = sub.add_parser("stress", help="Monte Carlo stress test of a model")
-    p.add_argument("model")
+    p = command("stress", cmd_stress, "Monte Carlo stress test of a model", "model")
     p.add_argument("--dist", required=True,
                    help="capex overrun distribution: bundled name or JSON file")
     p.add_argument("--schedule-dist", default=None,
@@ -395,27 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed; generated and recorded when omitted")
-    add_common(p)
-    p.set_defaults(func=cmd_stress)
-
-    p = sub.add_parser("grid", help="benefit x cost multiplier sensitivity grid")
-    p.add_argument("model")
+    p = command("grid", cmd_grid, "benefit x cost multiplier sensitivity grid", "model")
     p.add_argument("--benefit-mults", default="0.85,1.0,1.15")
     p.add_argument("--cost-mults", default="1.0,1.15")
-    add_common(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("contingency", help="size a contingency at a coverage quantile")
-    p.add_argument("model")
+    p = command("contingency", cmd_contingency, "size a contingency at a coverage quantile",
+                "model")
     p.add_argument("--dist", required=True)
     p.add_argument("--coverage", type=float, default=0.8)
-    add_common(p)
-    p.set_defaults(func=cmd_contingency)
-
-    p = sub.add_parser("report", help="summarize artifacts in the output directory")
-    add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    command("report", cmd_report, "summarize artifacts in the output directory")
     return parser
 
 

@@ -37,7 +37,7 @@ from .refclass import (
 
 BIG_DAM = "big-dam"
 BIG_DAM_SCHEDULE = "big-dam-schedule"
-STYLIZED_MODEL = "stylized-dam"
+STYLIZED_MODEL = "stylized-dam.json"
 SYNTHETIC_CSV = "synthetic-big-dams.csv"
 SYNTHETIC_SUMMARY = "synthetic-big-dams-summary.json"
 
@@ -95,7 +95,7 @@ def resolve_dist(name_or_path: str) -> QuantileDistribution:
 
 
 def load_stylized_model() -> AppraisalModel:
-    return load_model(asset_path("stylized-dam.json"))
+    return load_model(asset_path(STYLIZED_MODEL))
 
 
 def load_synthetic_records() -> ReferenceClass:
@@ -250,7 +250,7 @@ def regenerate(target: Path | None = None) -> None:
             "LOW: only the overrun share, median, and mean pin this distribution; "
             "the floor and tail shape are modeling choices.",
         ),
-        "stylized-dam.json": model_doc,
+        STYLIZED_MODEL: model_doc,
     }
     for name, doc in docs.items():
         (out / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -350,6 +350,15 @@ def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
         return RowError(line, "(record)", str(exc))
 
 
+def _next_row(reader) -> list[str] | RowError | None:
+    """The next row, None at the end, or a RowError for a row csv cannot split
+    (a field over csv.field_size_limit(), say); the reader resumes after it."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        return RowError(reader.line_num, "(row)", str(exc))
+
+
 def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict: bool = True) -> IngestResult:
     """Parse a reference-class CSV.
 
@@ -366,9 +375,11 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
                 raise InputError(f"records file {source} is not UTF-8 text: {exc}") from None
 
     reader = csv.reader(source)
-    header = next(reader, None)
+    header = _next_row(reader)
     if header is None:
         raise InputError("CSV is empty: header row required")
+    if isinstance(header, RowError):
+        raise InputError(str(header))
     header = tuple(c.strip() for c in header)
     if header != CSV_COLUMNS:
         raise InputError(
@@ -377,12 +388,12 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
 
     records: dict[str, ProjectRecord] = {}
     errors: list[RowError] = []
-    for fields in reader:
+    while (fields := _next_row(reader)) is not None:
         if not fields:  # csv.reader yields [] for a blank line
             continue
         # line_num tracks physical lines, so multi-line quoted fields still
         # produce accurate diagnostics
-        parsed = _parse_row(fields, reader.line_num)
+        parsed = fields if isinstance(fields, RowError) else _parse_row(fields, reader.line_num)
         if isinstance(parsed, ProjectRecord):
             if parsed.id not in records:
                 records[parsed.id] = parsed

@@ -38,8 +38,9 @@ class DensityTrace:
     density: tuple[float, ...]
     bandwidth: float
 
-    def to_csv_rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.grid, self.density))
+    def to_csv(self) -> str:
+        lines = ["value,density"] + [f"{v!r},{d!r}" for v, d in zip(self.grid, self.density)]
+        return "\n".join(lines) + "\n"
 
 
 def _finite(sample: Sequence[float]) -> np.ndarray:

@@ -15,10 +15,11 @@ systems decay geometrically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
-from .errors import InputError
+from .errors import InputError, parse_json
 
 QUADRANT_DESCRIPTIONS = {
     "Q1": "high threshold, high recoverability (fungi-like: hard to break, easy to restore)",
@@ -36,14 +37,14 @@ REDUNDANT_NOTE = (
 
 @dataclass(frozen=True, slots=True)
 class FragilityProfile:
-    """Threshold (abstract stressor units, > 0) and recoverability in [0, 1]."""
+    """Threshold (abstract stressor units, finite, > 0); recoverability in [0, 1]."""
 
     threshold: float
     recoverability: float
 
     def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise InputError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise InputError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0.0 <= self.recoverability <= 1.0:
             raise InputError(
                 f"recoverability must be in [0, 1], got {self.recoverability}"
@@ -58,32 +59,35 @@ class Cutoffs:
     recoverability: float
 
     def __post_init__(self) -> None:
-        if not self.threshold > 0 or not self.recoverability > 0:
-            raise InputError("cutoffs must be positive")
+        if not (0 < self.threshold < math.inf and 0 < self.recoverability < math.inf):
+            raise InputError("cutoffs must be positive and finite")
+
+
+_QUADRANTS = {("high", "high"): "Q1", ("high", "low"): "Q2",
+              ("low", "high"): "Q3", ("low", "low"): "Q4"}
+
+
+def _labels(profile: FragilityProfile, cutoffs: Cutoffs) -> dict[str, str]:
+    """"high" or "low" on the threshold and recoverability axes; a value at
+    its cutoff counts as high."""
+    return {axis: "high" if getattr(profile, axis) >= getattr(cutoffs, axis) else "low"
+            for axis in ("threshold", "recoverability")}
 
 
 def classify_quadrant(profile: FragilityProfile, cutoffs: Cutoffs) -> str:
     """Quadrant of the fragility map: Q1 high/high, Q2 high-threshold/low-
     recoverability, Q3 low/high, Q4 low/low."""
-    high_t = profile.threshold >= cutoffs.threshold
-    high_r = profile.recoverability >= cutoffs.recoverability
-    if high_t:
-        return "Q1" if high_r else "Q2"
-    return "Q3" if high_r else "Q4"
+    return _QUADRANTS[tuple(_labels(profile, cutoffs).values())]
 
 
 def classification_report(profile: FragilityProfile, cutoffs: Cutoffs) -> dict:
     """Quadrant plus axis labels and embedded convention notes, JSON-ready."""
-    quadrant = classify_quadrant(profile, cutoffs)
+    labels = _labels(profile, cutoffs)
+    quadrant = _QUADRANTS[tuple(labels.values())]
     return {
         "quadrant": quadrant,
         "description": QUADRANT_DESCRIPTIONS[quadrant],
-        "labels": {
-            "threshold": "high" if profile.threshold >= cutoffs.threshold else "low",
-            "recoverability": (
-                "high" if profile.recoverability >= cutoffs.recoverability else "low"
-            ),
-        },
+        "labels": labels,
         "threshold": profile.threshold,
         "recoverability": profile.recoverability,
         "cutoffs": {"threshold": cutoffs.threshold, "recoverability": cutoffs.recoverability},
@@ -110,6 +114,13 @@ class CompositionNode:
             raise InputError("composition node needs at least one child")
 
 
+def _walk(node: Union[str, CompositionNode]) -> Iterator[Union[str, CompositionNode]]:
+    """node and every node under it, in depth-first order."""
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _walk(child)
+
+
 @dataclass(frozen=True, slots=True)
 class SystemGraph:
     """Components plus the composition tree referencing each exactly once."""
@@ -120,18 +131,10 @@ class SystemGraph:
     def __post_init__(self) -> None:
         if not self.components:
             raise InputError("system graph needs at least one component")
-        seen: list[str] = []
-
-        def walk(node: Union[str, CompositionNode]) -> None:
-            if isinstance(node, str):
-                if node not in self.components:
-                    raise InputError(f"composition tree references unknown component {node!r}")
-                seen.append(node)
-                return
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
+        seen = [node for node in _walk(self.root) if isinstance(node, str)]
+        unknown = [c for c in seen if c not in self.components]
+        if unknown:
+            raise InputError(f"composition tree references unknown component {unknown[0]!r}")
         if sorted(seen) != sorted(self.components):
             dupes = {c for c in seen if seen.count(c) > 1}
             if dupes:
@@ -140,12 +143,7 @@ class SystemGraph:
             raise InputError(f"components missing from the tree: {sorted(missing)}")
 
     def has_redundancy(self) -> bool:
-        def walk(node: Union[str, CompositionNode]) -> bool:
-            if isinstance(node, str):
-                return False
-            return node.kind == "redundant" or any(walk(c) for c in node.children)
-
-        return walk(self.root)
+        return any(getattr(node, "kind", "") == "redundant" for node in _walk(self.root))
 
 
 def system_threshold(graph: SystemGraph) -> float:
@@ -235,10 +233,7 @@ def graph_to_json(graph: SystemGraph) -> str:
 
 
 def graph_from_json(text: str) -> SystemGraph:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # nested too deep for the parser
-        raise InputError(f"system graph document is not valid JSON: {exc}") from None
+    doc = parse_json(text, "system graph document")
     try:
         components = {
             cid: FragilityProfile(float(spec["threshold"]), float(spec["recoverability"]))

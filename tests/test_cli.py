@@ -139,25 +139,25 @@ def test_stress_overflowing_model_is_computation_error(tmp_path, capsys, capex, 
     assert not (out / "stress.json").exists()
 
 
-def _model_doc(rate, capex, benefits, om=()):
+def _legs_doc(rate, capex, benefits, om=()):
     def legs(pairs):
         return [{"t": t, "amount": a} for t, a in pairs]
     return {"discount_rate": rate, "capex": legs(capex), "om": legs(om), "benefits": legs(benefits)}
 
 
-_TINY_CAPEX = _model_doc(0.1, [(0.0, 5e-324)], [(1.0, 100.0)])
+_TINY_CAPEX = _legs_doc(0.1, [(0.0, 5e-324)], [(1.0, 100.0)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("doc, argv", [
     # subnormal PV(capex) under a huge benefit: both break-evens leave the float range
-    (_model_doc(0.1, [(0.0, 1e-320)], [(1.0, 1e300)], [(0.0, 1.0)]), ["appraise"]),
+    (_legs_doc(0.1, [(0.0, 1e-320)], [(1.0, 1e300)], [(0.0, 1.0)]), ["appraise"]),
     (_TINY_CAPEX, ["appraise"]),  # BCR of 90.9 / 5e-324
     (_TINY_CAPEX, ["contingency", "--dist", "big-dam"]),
     (None, ["grid", "--cost-mults", "5e-324", "--benefit-mults", "1"]),  # the stylized dam
-    (_model_doc(0.1, [(0.0, 0.01)], [(1.0, 100.0)]), ["grid", "--cost-mults", "5e-324"]),  # pain 0
-    (_model_doc(0.1, [(0.0, 1e308)], [(1.0, 100.0)], [(0.0, 1e308)]), ["appraise"]),  # pain sum
-    (_model_doc(1e-310, [(0.0, 100.0)], [(0.0, 200.0)]), ["appraise"]),  # log1p(r) subnormal
+    (_legs_doc(0.1, [(0.0, 0.01)], [(1.0, 100.0)]), ["grid", "--cost-mults", "5e-324"]),  # pain 0
+    (_legs_doc(0.1, [(0.0, 1e308)], [(1.0, 100.0)], [(0.0, 1e308)]), ["appraise"]),  # pain sum
+    (_legs_doc(1e-310, [(0.0, 100.0)], [(0.0, 200.0)]), ["appraise"]),  # log1p(r) subnormal
 ], ids=["overrun-delay", "bcr", "contingency", "grid-inf", "grid-zero-pain", "pain-sum", "delay"])
 def test_non_finite_ratio_is_computation_error(tmp_path, capsys, doc, argv):
     model = Path(STYLIZED)
@@ -471,6 +471,47 @@ def test_records_not_utf8_is_validation_error(tmp_path, capsys):
             assert len(err.splitlines()) == 1 and "not UTF-8" in err
 
 
+def _long_field_csv(tmp_path) -> Path:
+    # a field past csv.field_size_limit() (131072) between two good rows
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text(
+        CSV_HEADER
+        + "\nA,Dam,X,Asia,road,1990,1,2,3,4,,"
+        + "\nB,Dam," + "x" * 200_000 + ",Asia,road,1990,1,2,3,4,,"
+        + "\nC,Dam,X,Europe,road,1990,1,2,3,4,,\n",
+        encoding="utf-8",
+    )
+    return csv_path
+
+
+def test_ingest_lenient_skips_over_long_field(tmp_path):
+    out = tmp_path / "o"
+    assert run(["ingest", str(_long_field_csv(tmp_path)), "--out", str(out)]) == 0
+    doc = read_json(out / "ingest.json")
+    assert doc["n_accepted"] == 2 and doc["n_skipped"] == 1
+    assert doc["errors"][0]["row"] == 3 and doc["errors"][0]["field"] == "(row)"
+    assert "field larger than field limit" in doc["errors"][0]["message"]
+
+
+def test_over_long_field_strict_is_validation_error(tmp_path, capsys):
+    csv_path = _long_field_csv(tmp_path)
+    for command in (["ingest"], ["stats"], ["density"], ["test", "--test", "bias"]):
+        argv = command + [str(csv_path), "--strict", "--out", str(tmp_path / "o")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "row 3" in err and "field limit" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_over_long_header_field_is_validation_error(tmp_path, capsys):
+    csv_path = tmp_path / "header.csv"
+    csv_path.write_text("x" * 200_000 + "\n", encoding="utf-8")
+    for mode in ([], ["--strict"]):
+        assert run(["ingest", str(csv_path), "--out", str(tmp_path / "o"), *mode]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "row 1" in err and "field limit" in err
+
+
 def test_density_csv_and_svg(tmp_path):
     out = tmp_path / "o"
     rc = run(["density", FIXTURE, "--metric", "cost", "--format", "svg", "--out", str(out)])
@@ -717,6 +758,34 @@ def test_model_with_nan_rate_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "not valid JSON" in err
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+# command -> the help line of the input it reads
+_COMMAND_INPUTS = {
+    **dict.fromkeys(["ingest", "stats", "density", "test"], "reference-class CSV file"),
+    **dict.fromkeys(["appraise", "stress", "grid", "contingency"], "appraisal model JSON file"),
+    "report": "output directory",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+def test_every_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: fragilis {command}") and _COMMAND_INPUTS[command] in out
+    assert ("--metric" in out) == (command in ("stats", "density", "test"))
+
+
+def test_ingest_metric_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["ingest", FIXTURE, "--metric", "cost", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metric cost" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def test_profile_validation():
         FragilityProfile(1.0, 1.5)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_profile_and_cutoffs_need_positive_finite_values(value):
+    with pytest.raises(InputError, match="positive and finite"):
+        FragilityProfile(value, 0.5)
+    for cutoffs in ((value, 0.5), (1.0, value)):
+        with pytest.raises(InputError, match="positive and finite"):
+            Cutoffs(*cutoffs)
+
+
 # ---------------------------------------------------------------------------
 # system threshold
 
@@ -128,6 +139,9 @@ def test_graph_validation():
         graph_of({"a": 1.0}, CompositionNode("series", ("a", "ghost")))
     with pytest.raises(InputError, match="more than once"):
         graph_of({"a": 1.0}, CompositionNode("series", ("a", "a")))
+    with pytest.raises(InputError, match="unknown component 'ghost-1'"):  # the first, depth first
+        graph_of({"a": 1.0}, CompositionNode(
+            "series", (CompositionNode("redundant", ("a", "ghost-1")), "ghost-2")))
     with pytest.raises(InputError, match="missing"):
         SystemGraph(
             components={"a": FragilityProfile(1.0, 0.5), "b": FragilityProfile(2.0, 0.5)},
@@ -210,3 +224,11 @@ def test_graph_json_malformed():
         graph_from_json(
             '{"components": {"a": {"threshold": "x", "recoverability": 0.5}}, "system": "a"}'
         )
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_graph_json_rejects_non_finite_threshold(literal):
+    text = '{"components": {"a": {"threshold": %s, "recoverability": 0.5}}, "system": "a"}'
+    with pytest.raises(InputError):
+        graph_from_json(text % literal)
+    assert system_threshold(graph_from_json(text % "1e300")) == 1e300
