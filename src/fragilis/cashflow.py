@@ -159,11 +159,13 @@ def bcr(model: AppraisalModel, cost_mult: float = 1.0, benefit_mult: float = 1.0
 def net_stream(
     model: AppraisalModel, cost_mult: float = 1.0, benefit_mult: float = 1.0
 ) -> CashFlowStream:
-    """Merged signed stream (benefits positive, costs negative), for IRR, with
-    capex and benefit amounts scaled as apply_stress scales them."""
+    """Merged signed stream (benefits positive, costs negative), for IRR, with capex and benefit
+    amounts scaled as apply_stress scales them. One past the float range raises ComputeError."""
     entries = [(t, benefit_mult * a) for t, a in model.benefits.entries]
     entries += [(t, -(cost_mult * a)) for t, a in model.capex.entries]
     entries += [(t, -a) for t, a in model.om_costs.entries]
+    if not all(math.isfinite(a) for _, a in entries):
+        raise ComputeError("a scaled cash flow amount overflows a float")
     return CashFlowStream.of(entries)
 
 

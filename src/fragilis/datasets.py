@@ -276,9 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m fragilis.datasets")
     parser.add_argument("command", choices=["regenerate"])
     parser.add_argument("--target", type=Path, default=None)
-    args = parser.parse_args(argv)
-    if args.command == "regenerate":
-        regenerate(args.target)
+    regenerate(parser.parse_args(argv).target)
     return 0
 
 

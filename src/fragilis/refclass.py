@@ -350,13 +350,43 @@ def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
         return RowError(line, "(record)", str(exc))
 
 
-def _next_row(reader) -> list[str] | RowError | None:
-    """The next row, None at the end, or a RowError for a row csv cannot split
-    (a field over csv.field_size_limit(), say); the reader resumes after it."""
-    try:
-        return next(reader, None)
-    except csv.Error as exc:
-        return RowError(reader.line_num, "(row)", str(exc))
+def _ends_quoted(text: str, quoted: bool) -> bool:
+    """Whether csv's default dialect, reading text from a row's start or (quoted) inside a
+    quoted field, ends inside one: a quote opens a field only at its start; "" in one is a quote."""
+    at_start = True
+    for c in text:
+        if quoted:
+            quoted, at_start = c != '"', True
+        else:
+            quoted, at_start = at_start and c == '"', c in ",\r\n"
+    return quoted
+
+
+class _Rows:
+    """csv.reader's rows of a source, whose lines line_num counts. A row csv cannot split (a field
+    over csv.field_size_limit(), say) is a RowError; as csv resumes on the next line, a quoted field
+    the row left open is skipped up to the line that closes it."""
+
+    def __init__(self, source) -> None:
+        self.line_num, self._taken = 0, []  # the lines of the row being read
+        self._lines = self._count(source)
+        self._reader = csv.reader(self._lines)
+
+    def _count(self, source):
+        for self.line_num, line in enumerate(source, 1):
+            self._taken.append(line)
+            yield line
+
+    def next(self) -> list[str] | RowError | None:
+        self._taken.clear()
+        try:
+            return next(self._reader, None)
+        except csv.Error as exc:
+            error = RowError(self.line_num, "(row)", str(exc))
+        quoted = _ends_quoted("".join(self._taken), False)
+        while quoted and next(self._lines, None) is not None:
+            quoted = _ends_quoted(self._taken.pop(), True)  # a quote never closed keeps no lines
+        return error
 
 
 def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict: bool = True) -> IngestResult:
@@ -374,8 +404,8 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
             except UnicodeDecodeError as exc:
                 raise InputError(f"records file {source} is not UTF-8 text: {exc}") from None
 
-    reader = csv.reader(source)
-    header = _next_row(reader)
+    rows = _Rows(source)
+    header = rows.next()
     if header is None:
         raise InputError("CSV is empty: header row required")
     if isinstance(header, RowError):
@@ -388,17 +418,15 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
 
     records: dict[str, ProjectRecord] = {}
     errors: list[RowError] = []
-    while (fields := _next_row(reader)) is not None:
+    while (fields := rows.next()) is not None:
         if not fields:  # csv.reader yields [] for a blank line
             continue
-        # line_num tracks physical lines, so multi-line quoted fields still
-        # produce accurate diagnostics
-        parsed = fields if isinstance(fields, RowError) else _parse_row(fields, reader.line_num)
+        parsed = fields if isinstance(fields, RowError) else _parse_row(fields, rows.line_num)
         if isinstance(parsed, ProjectRecord):
             if parsed.id not in records:
                 records[parsed.id] = parsed
                 continue
-            parsed = RowError(reader.line_num, "id", f"duplicate record id {parsed.id!r}")
+            parsed = RowError(rows.line_num, "id", f"duplicate record id {parsed.id!r}")
         if strict:
             raise InputError(str(parsed))
         errors.append(parsed)

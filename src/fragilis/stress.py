@@ -25,17 +25,16 @@ cell's multipliers. Tests check both against apply_stress.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _rng
 from .cashflow import AppraisalModel, bcr, irr, net_stream
-from .dists import QuantileDistribution, dist_from_dict
+from .dists import QuantileDistribution
 from .errors import ComputeError, InputError
 from .refclass import sorted_quantile
 
@@ -97,42 +96,6 @@ class StressConfig:
         elif not 0.0 <= float(self.shortfall) < 1.0:
             raise InputError(f"fixed shortfall must be in [0, 1), got {self.shortfall}")
 
-    def to_dict(self) -> dict:
-        doc: dict = {
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "capex_dist": self.capex_dist.to_dict(),
-        }
-        if self.schedule_dist is not None:
-            doc["schedule_dist"] = self.schedule_dist.to_dict()
-            doc["est_duration_years"] = self.est_duration_years
-        if isinstance(self.shortfall, QuantileDistribution):
-            doc["shortfall"] = self.shortfall.to_dict()
-        else:
-            doc["shortfall"] = float(self.shortfall)
-        return doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "StressConfig":
-        try:
-            shortfall_doc = doc.get("shortfall", 0.0)
-            return StressConfig(
-                n_trials=int(doc["n_trials"]),
-                seed=int(doc["seed"]),
-                capex_dist=dist_from_dict(doc["capex_dist"]),
-                schedule_dist=(
-                    dist_from_dict(doc["schedule_dist"]) if "schedule_dist" in doc else None
-                ),
-                est_duration_years=doc.get("est_duration_years"),
-                shortfall=(
-                    dist_from_dict(shortfall_doc)
-                    if isinstance(shortfall_doc, dict)
-                    else float(shortfall_doc)
-                ),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed stress config document: {exc}") from None
-
 
 @dataclass(frozen=True, slots=True)
 class StressResult:
@@ -146,17 +109,8 @@ class StressResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "p_break": self.p_break,
-            "p_break_se": self.p_break_se,
-            "npv_quantiles": {f"{p:g}": v for p, v in self.npv_quantiles.items()},
-            "mean_npv": self.mean_npv,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        quantiles = {f"{p:g}": v for p, v in self.npv_quantiles.items()}
+        return {**asdict(self), "npv_quantiles": quantiles}
 
     def quantiles_csv(self) -> str:
         lines = ["p,npv"]
@@ -242,36 +196,26 @@ def p_break_analytic(dist: QuantileDistribution, k_star: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class GridCell:
-    irr: float | None
-    bcr: float
-
-
-@dataclass(frozen=True, slots=True)
 class SensitivityGrid:
     """Appraisal outcomes across joint benefit/cost multiplier scenarios.
 
-    Rows follow cost_mults, columns follow benefit_mults, in the order given.
-    Cells where the stressed net stream has no IRR carry irr=None.
+    irr and bcr are tables with one row per cost mult and one column per
+    benefit mult, in the order given; irr[i][j] is None where the stressed
+    net stream has no IRR.
     """
 
     benefit_mults: tuple[float, ...]
     cost_mults: tuple[float, ...]
-    cells: tuple[tuple[GridCell, ...], ...]
+    irr: tuple[tuple[float | None, ...], ...]
+    bcr: tuple[tuple[float, ...], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "benefit_mults": list(self.benefit_mults),
-            "cost_mults": list(self.cost_mults),
-            "irr": [[c.irr for c in row] for row in self.cells],
-            "bcr": [[c.bcr for c in row] for row in self.cells],
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
-        header = "cost_mult\\benefit_mult," + ",".join(f"{b:g}" for b in self.benefit_mults)
-        lines = [header]
-        for k, row in zip(self.cost_mults, self.cells):
-            cells = ",".join("" if c.irr is None else repr(c.irr) for c in row)
+        lines = ["cost_mult\\benefit_mult," + ",".join(f"{b:g}" for b in self.benefit_mults)]
+        for k, row in zip(self.cost_mults, self.irr):
+            cells = ",".join("" if v is None else repr(v) for v in row)
             lines.append(f"{k:g},{cells}")
         return "\n".join(lines) + "\n"
 
@@ -287,11 +231,12 @@ def sensitivity_grid(
     cost_mults = tuple(float(k) for k in cost_mults)
     if not all(0.0 < m < math.inf for m in benefit_mults + cost_mults):  # NaN fails too
         raise InputError("grid multipliers must be positive and finite")
-    cells = tuple(
-        tuple(GridCell(irr(net_stream(model, k, b)), bcr(model, k, b)) for b in benefit_mults)
-        for k in cost_mults
-    )
-    return SensitivityGrid(benefit_mults, cost_mults, cells)
+    # cell by cell in row order, IRR before BCR: the first figure that fails names the error
+    rows = [[(irr(net_stream(model, k, b)), bcr(model, k, b)) for b in benefit_mults]
+            for k in cost_mults]
+    irrs = tuple(tuple(i for i, _ in row) for row in rows)
+    bcrs = tuple(tuple(c for _, c in row) for row in rows)
+    return SensitivityGrid(benefit_mults, cost_mults, irrs, bcrs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,12 +249,9 @@ class ContingencyResult:
     proceed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "contingency": self.contingency,
-            "adjusted_bcr": self.adjusted_bcr,
-            "decision": "proceed" if self.proceed else "do-not-proceed",
-        }
+        doc = asdict(self)
+        doc["decision"] = "proceed" if doc.pop("proceed") else "do-not-proceed"
+        return doc
 
 
 def size_contingency(

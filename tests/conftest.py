@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from fragilis.cashflow import AppraisalModel, CashFlowStream
 from fragilis.datasets import BIG_DAM_ANCHORS, BIG_DAM_FLOOR, BIG_DAM_MEAN
 from fragilis.dists import QuantileDistribution, build_quantile_dist
+from fragilis.stress import StressResult
 
 
 def random_model(rng: np.random.Generator, r_range=(0.0, 0.25), with_om=True) -> AppraisalModel:
@@ -33,6 +36,11 @@ def random_model(rng: np.random.Generator, r_range=(0.0, 0.25), with_om=True) ->
         om_costs=om,
         discount_rate=float(rng.uniform(*r_range)),
     )
+
+
+def result_json(result: StressResult) -> str:
+    """A stress result's document as stress.json lays it out: indented, keys sorted."""
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True)
 
 
 def near_degenerate_dist(value: float) -> QuantileDistribution:

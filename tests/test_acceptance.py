@@ -33,7 +33,7 @@ from fragilis.stress import (
     sensitivity_grid,
 )
 
-from conftest import random_model
+from conftest import random_model, result_json
 
 
 def criterion(label):
@@ -307,12 +307,12 @@ def test_c8_property_suites(dam_dist, stylized):
             discount_rate=float(rng.uniform(0.0, 0.2)),
         )
         grid = sensitivity_grid(model, benefit_mults=[0.8, 1.0, 1.2], cost_mults=[0.9, 1.0, 1.3])
-        if any(c.irr is None for row in grid.cells for c in row):
+        if any(v is None for row in grid.irr for v in row):
             continue
-        for row in grid.cells:
-            assert all(a.irr <= b.irr + 1e-12 for a, b in zip(row, row[1:]))
+        for row in grid.irr:
+            assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
         for j in range(3):
-            col = [row[j].irr for row in grid.cells]
+            col = [row[j] for row in grid.irr]
             assert all(a >= b - 1e-12 for a, b in zip(col, col[1:]))
         count += 1
 
@@ -323,7 +323,7 @@ def test_c8_property_suites(dam_dist, stylized):
         for c in (20_000, 1024, 999, 333):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(stress, "_CHUNK", c)
-                outputs.add(run_stress(stylized, config).to_json())
+                outputs.add(result_json(run_stress(stylized, config)))
         assert len(outputs) == 1
 
     return "1000 sign-equivalence models, 100 monotone grids, 5 seeds x 4 execution plans identical"

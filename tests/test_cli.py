@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -493,6 +494,28 @@ def test_ingest_lenient_skips_over_long_field(tmp_path):
     assert "field larger than field limit" in doc["errors"][0]["message"]
 
 
+def test_ingest_lenient_skips_rest_of_over_long_quoted_field(tmp_path):
+    # csv resumes on the line after the over-long field, inside B's quoted name;
+    # the lines up to the one that closes it ("" is a quote inside it) are B's
+    csv_path = tmp_path / "quoted.csv"
+    csv_path.write_text(
+        CSV_HEADER
+        + "\nA,Dam,X,Asia,road,1990,1,2,3,4,,"
+        + '\nB,"' + "y" * 200_000
+        + "\nC,Dam,X,Asia,road,1990,1,2,3,4,,"
+        + '\nsay ""hi"",D,Dam,X,Asia,road,1990,1,2,3,4,,'
+        + '\nx",c,Asia,road,1990,1,2,3,4,,'
+        + "\nD,Dam,X,Europe,road,1990,1,2,3,4,,"
+        + "\nE,Dam\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run(["ingest", str(csv_path), "--out", str(out)]) == 0
+    doc = read_json(out / "ingest.json")
+    assert doc["n_accepted"] == 2 and doc["n_skipped"] == 2
+    assert [(e["row"], e["field"]) for e in doc["errors"]] == [(3, "(row)"), (8, "country")]
+
+
 def test_over_long_field_strict_is_validation_error(tmp_path, capsys):
     csv_path = _long_field_csv(tmp_path)
     for command in (["ingest"], ["stats"], ["density"], ["test", "--test", "bias"]):
@@ -691,6 +714,15 @@ def test_grid_non_finite_multiplier_is_validation_error(tmp_path, capsys):
         assert "grid multipliers must be positive and finite" in capsys.readouterr().err
 
 
+def test_grid_overflowing_multiplier_is_computation_error(tmp_path, capsys):
+    # 1e306 times the stylized dam's capex leaves the float range, which stress reports as exit 3
+    out = tmp_path / "o"
+    assert run(["grid", STYLIZED, "--cost-mults", "1e306", "--benefit-mults", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "overflows a float" in err
+    assert not out.exists()
+
+
 def test_contingency_command(tmp_path):
     out = tmp_path / "o"
     rc = run(["contingency", STYLIZED, "--dist", "big-dam", "--coverage", "0.8",
@@ -831,6 +863,22 @@ def test_cli_import_leaves_thread_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_imported_name_is_used():
+    # an unused import is dead code, and module imports are start-up time every command pays
+    for path in sorted(Path(stress.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the package's public names are its imports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 def test_failing_command_writes_nothing(tmp_path, monkeypatch):

@@ -82,14 +82,6 @@ DIST = {
 CALIBRATED_DIST = {**DIST, "tail": {"calibrate_mean": 1.6}}
 SHORTFALL_DIST = {"anchors": [{"p": 0.5, "x": 0.11}], "floor_x": 0.001,
                   "tail": {"shape": -0.25, "scale": 0.04}}
-STRESS_CONFIG = {
-    "n_trials": 50,
-    "seed": 3,
-    "capex_dist": DIST,
-    "schedule_dist": CALIBRATED_DIST,
-    "est_duration_years": 8.6,
-    "shortfall": SHORTFALL_DIST,
-}
 GRAPH = {
     "components": {"a": {"threshold": 1.2, "recoverability": 0.5},
                    "b": {"threshold": 2.0, "recoverability": 0.1},
@@ -115,12 +107,18 @@ def test_model_files_raise_only_fragilis_errors(tmp_path_factory, doc):
 
 
 @_FUZZ
-@given(_fields(DIST) | _fields(CALIBRATED_DIST))
+@given(_fields(DIST) | _fields(CALIBRATED_DIST) | _fields(SHORTFALL_DIST))
 def test_dist_documents_raise_only_fragilis_errors(doc):
     dist = _only_fragilis_errors(dist_from_dict, doc)
     if dist is not None:
+        model, base, short = model_from_dict(MODEL), dist_from_dict(DIST), dist_from_dict(SHORTFALL_DIST)
         _only_fragilis_errors(dist.mean)
-        _only_fragilis_errors(size_contingency, model_from_dict(MODEL), dist, 0.8)
+        _only_fragilis_errors(size_contingency, model, dist, 0.8)
+        # full-shape runs with the distribution as the capex, the schedule and the shortfall draw
+        for roles in ((dist, base, 8.6, short), (base, dist, 8.6, short), (base, base, 8.6, dist)):
+            config = _only_fragilis_errors(StressConfig, 50, 3, *roles)
+            if config is not None:
+                _only_fragilis_errors(run_stress, model, config)
 
 
 @_FUZZ
@@ -129,20 +127,6 @@ def test_dist_files_raise_only_fragilis_errors(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "dist.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     _only_fragilis_errors(load_dist, path)
-
-
-@_FUZZ
-@given(_fields(STRESS_CONFIG))
-def test_stress_config_documents_raise_only_fragilis_errors(doc):
-    config = _only_fragilis_errors(StressConfig.from_dict, doc)
-    if config is not None and config.n_trials <= 1000:  # larger counts are valid, only slow
-        _only_fragilis_errors(run_stress, model_from_dict(MODEL), config)
-
-
-@pytest.mark.parametrize("doc", [[1], {**STRESS_CONFIG, "n_trials": float("inf")}])
-def test_stress_config_malformed_documents(doc):
-    with pytest.raises(FragilisError, match="malformed stress config document"):
-        StressConfig.from_dict(doc)
 
 
 @_FUZZ

@@ -36,7 +36,7 @@ from fragilis.stress import (
     size_contingency,
 )
 
-from conftest import near_degenerate_dist, random_model
+from conftest import near_degenerate_dist, random_model, result_json
 
 
 def bcr_model(target_bcr: float, rate: float = 0.11) -> AppraisalModel:
@@ -121,13 +121,13 @@ def test_run_stress_deterministic_across_chunks(canonical_dist, monkeypatch):
                 monkeypatch.setattr(stress, "_WORKERS", workers)
                 for chunk in (10_000, 1000, 777, 256):
                     monkeypatch.setattr(stress, "_CHUNK", chunk)
-                    outputs.add(run_stress(model, config).to_json())
+                    outputs.add(result_json(run_stress(model, config)))
             assert len(outputs) == 1
     finally:
         sys.setswitchinterval(interval)
 
 
-# SHA-256 of run_stress(...).to_json() for the stylized dam, seed 7, n = 262,145
+# SHA-256 of result_json(run_stress(...)) for the stylized dam, seed 7, n = 262,145
 # trials (one past four _CHUNK spans). At these inputs the pairwise sum over the
 # sorted NPVs rounds to their exact sum, so each mean is the correctly rounded
 # one. A speedup that changes any output bit fails here.
@@ -154,7 +154,7 @@ def _golden_configs() -> dict[str, StressConfig]:
 def test_run_stress_golden_digests():
     model = build_stylized_model()
     digests = {
-        shape: hashlib.sha256(run_stress(model, config).to_json().encode()).hexdigest()
+        shape: hashlib.sha256(result_json(run_stress(model, config)).encode()).hexdigest()
         for shape, config in _golden_configs().items()
     }
     assert digests == GOLDEN_STRESS_SHA256
@@ -356,19 +356,6 @@ def test_stress_config_caps_trials_before_allocating(canonical_dist):
     assert StressConfig(n_trials=MAX_TRIALS, seed=1, capex_dist=canonical_dist).n_trials == MAX_TRIALS
 
 
-def test_stress_config_round_trip(canonical_dist):
-    slip_dist = build_quantile_dist([(0.2, 1.0), (0.5, 1.27)], floor_x=0.7, mean_target=1.44)
-    config = StressConfig(
-        n_trials=500, seed=99, capex_dist=canonical_dist,
-        schedule_dist=slip_dist, est_duration_years=8.6, shortfall=0.11,
-    )
-    back = StressConfig.from_dict(config.to_dict())
-    assert back == config
-    # a round-tripped config drives identical trials
-    model = bcr_model(1.4)
-    assert run_stress(model, back).to_json() == run_stress(model, config).to_json()
-
-
 def test_stress_result_serialization_shape(canonical_dist):
     config = StressConfig(n_trials=100, seed=11, capex_dist=canonical_dist)
     result = run_stress(bcr_model(1.4), config)
@@ -432,9 +419,8 @@ def test_calibrated_mean_recovered_from_large_sample(canonical_dist):
 def test_grid_identity_cell():
     model = build_stylized_model()
     grid = sensitivity_grid(model, benefit_mults=[1.0], cost_mults=[1.0])
-    cell = grid.cells[0][0]
-    assert cell.bcr == bcr(model)
-    assert cell.irr == irr(net_stream(model))
+    assert grid.bcr[0][0] == bcr(model)
+    assert grid.irr[0][0] == irr(net_stream(model))
 
 
 def test_grid_pattern_on_irr_15_model():
@@ -447,13 +433,11 @@ def test_grid_pattern_on_irr_15_model():
         discount_rate=0.11,
     )
     grid = sensitivity_grid(model, benefit_mults=[0.85, 1.0, 1.15], cost_mults=[1.0, 1.15])
-    base = grid.cells[0][1]
-    assert base.irr == pytest.approx(0.15, abs=1e-9)
-    for row in grid.cells:  # IRR rises along the benefit axis
-        irrs = [c.irr for c in row]
-        assert all(a < b for a, b in zip(irrs, irrs[1:]))
+    assert grid.irr[0][1] == pytest.approx(0.15, abs=1e-9)
+    for row in grid.irr:  # IRR rises along the benefit axis
+        assert all(a < b for a, b in zip(row, row[1:]))
     for j in range(3):  # IRR falls along the cost axis
-        col = [row[j].irr for row in grid.cells]
+        col = [row[j] for row in grid.irr]
         assert all(a > b for a, b in zip(col, col[1:]))
 
 
@@ -468,9 +452,9 @@ def test_grid_random_models_match_cell_recomputation():
         for i, k in enumerate(k_mults):
             for j, b in enumerate(b_mults):
                 stressed = apply_stress(model, cost_mult=k, benefit_mult=b)
-                assert grid.cells[i][j].bcr == b * pv_b / (k * pv_c + pv_o)
-                assert grid.cells[i][j].bcr == pytest.approx(bcr(stressed), rel=1e-12)
-                assert grid.cells[i][j].irr == irr(net_stream(stressed))
+                assert grid.bcr[i][j] == b * pv_b / (k * pv_c + pv_o)
+                assert grid.bcr[i][j] == pytest.approx(bcr(stressed), rel=1e-12)
+                assert grid.irr[i][j] == irr(net_stream(stressed))
 
 
 def test_grid_monotonicity_randomized():
@@ -485,13 +469,12 @@ def test_grid_monotonicity_randomized():
             discount_rate=float(rng.uniform(0.0, 0.2)),
         )
         grid = sensitivity_grid(model, benefit_mults=[0.8, 1.0, 1.2], cost_mults=[0.9, 1.0, 1.3])
-        cells = grid.cells
-        if any(c.irr is None for row in cells for c in row):
+        if any(v is None for row in grid.irr for v in row):
             continue
-        for row in cells:
-            assert all(a.irr <= b.irr + 1e-12 for a, b in zip(row, row[1:]))
+        for row in grid.irr:
+            assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
         for j in range(3):
-            col = [row[j].irr for row in cells]
+            col = [row[j] for row in grid.irr]
             assert all(a >= b - 1e-12 for a, b in zip(col, col[1:]))
         count += 1
 
@@ -504,9 +487,16 @@ def test_grid_absent_irr_cell_still_returned():
         discount_rate=0.1,
     )
     grid = sensitivity_grid(model, benefit_mults=[1.0, 1.1], cost_mults=[1.0])
-    assert all(c.irr is None for row in grid.cells for c in row)
-    assert all(c.bcr > 1 for row in grid.cells for c in row)
+    assert all(v is None for row in grid.irr for v in row)
+    assert all(v > 1 for row in grid.bcr for v in row)
     assert "," in grid.to_csv()
+
+
+def test_grid_empty_multiplier_lists():
+    model = build_stylized_model()
+    assert sensitivity_grid(model, [], [1.0, 2.0]).to_dict()["bcr"] == ((), ())
+    grid = sensitivity_grid(model, [1.0], [])
+    assert grid.irr == grid.bcr == () and grid.to_csv() == "cost_mult\\benefit_mult,1\n"
 
 
 def test_grid_validation():
