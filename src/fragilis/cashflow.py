@@ -86,11 +86,12 @@ class CashFlowStream:
         return finite(f"present value at rate {rate} overflows a float",
                       lambda: math.fsum(a * discount_factor(rate, t) for t, a in self.entries))
 
-    def total(self) -> float:
-        return math.fsum(a for _, a in self.entries)
-
     def scaled(self, factor: float) -> "CashFlowStream":
-        return CashFlowStream(tuple((t, a * factor) for t, a in self.entries))
+        """Every amount times factor. One past the float range raises ComputeError."""
+        entries = tuple((t, a * factor) for t, a in self.entries)
+        if not all(math.isfinite(a) for _, a in entries):
+            raise ComputeError("a scaled cash flow amount overflows a float")
+        return CashFlowStream(entries)
 
     def shifted(self, years: float) -> "CashFlowStream":
         if years < 0:
@@ -161,12 +162,9 @@ def net_stream(
 ) -> CashFlowStream:
     """Merged signed stream (benefits positive, costs negative), for IRR, with capex and benefit
     amounts scaled as apply_stress scales them. One past the float range raises ComputeError."""
-    entries = [(t, benefit_mult * a) for t, a in model.benefits.entries]
-    entries += [(t, -(cost_mult * a)) for t, a in model.capex.entries]
-    entries += [(t, -a) for t, a in model.om_costs.entries]
-    if not all(math.isfinite(a) for _, a in entries):
-        raise ComputeError("a scaled cash flow amount overflows a float")
-    return CashFlowStream.of(entries)
+    legs = (model.benefits.scaled(benefit_mult), model.capex.scaled(-cost_mult),
+            model.om_costs.scaled(-1.0))
+    return CashFlowStream.of(entry for leg in legs for entry in leg.entries)
 
 
 def irr(stream: CashFlowStream) -> float | None:
@@ -286,9 +284,10 @@ def apply_stress(
 
     Capex amounts are scaled by cost_mult on their original schedule; benefit
     amounts are scaled by benefit_mult and shifted delay_years later along
-    with the O&M schedule (amounts unchanged).
+    with the O&M schedule (amounts unchanged). A scaled amount past the
+    float range raises ComputeError.
     """
-    if cost_mult < 0 or benefit_mult < 0:
+    if not (cost_mult >= 0 and benefit_mult >= 0):  # NaN fails too
         raise InputError("stress multipliers must be >= 0")
     if delay_years < 0:
         raise InputError(f"delay must be >= 0, got {delay_years}")

@@ -2,12 +2,11 @@
 
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
 report. Each command only loads and computes: it returns the input files it
-read, its artifacts and a one-line summary. main renders every JSON artifact
-with allow_nan=False, so a non-finite number is a computation error, and only
-then creates --out and writes the artifacts and the run manifest (command
-line, input digests, seed, version, timestamp, and how the run went: the
-command's wall time, peak RSS, Python and numpy versions, trials per second
-and worker threads for stress). A command that fails writes nothing.
+read, its artifacts and a one-line summary. main sets each JSON artifact's
+source to the first input, renders it with allow_nan=False (a non-finite
+number is a computation error) and only then creates --out and writes the
+artifacts and the run manifest (provenance and how the run went; see
+_manifest). A command that fails writes nothing.
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -104,7 +103,6 @@ def cmd_ingest(args) -> _Run:
     path = _input_file(args.records, "records")
     result = read_records_csv(path, strict=args.strict)
     doc = {
-        "source": str(path),
         "label": result.reference_class.label,
         "n_accepted": result.n_accepted,
         "n_skipped": result.n_skipped,
@@ -117,7 +115,7 @@ def cmd_ingest(args) -> _Run:
 def cmd_stats(args) -> _Run:
     ref, path = _load_records(args)
     thresholds = tuple(args.threshold or ())
-    doc: dict = {"source": str(path), "metric": args.metric, "thresholds": list(thresholds)}
+    doc: dict = {"metric": args.metric, "thresholds": list(thresholds)}
     if args.group:
         key = _GROUP_KEY_MAP[args.group]
         doc["group_by"] = key
@@ -136,7 +134,6 @@ def cmd_density(args) -> _Run:
     artifacts = {
         "density.csv": trace.to_csv(),
         "density.json": {
-            "source": str(path),
             "metric": args.metric,
             "n": len(ratios),
             "bandwidth": trace.bandwidth,
@@ -177,8 +174,7 @@ def cmd_test(args) -> _Run:
         years = [float(r.decision_year) for r in ref.records]
         result = trend_f(years, ref.ratios(args.metric)).to_dict()
         context = {"comparison": "ratio trend over decision year"}
-    doc = {"source": str(path), "metric": args.metric, "test": args.test,
-           "result": result, "context": context}
+    doc = {"metric": args.metric, "test": args.test, "result": result, "context": context}
     summary = f"{args.test} test: statistic={result['statistic']:.6g} p={result['p_value']:.4g}"
     return [path], {"test.json": doc}, summary
 
@@ -186,7 +182,7 @@ def cmd_test(args) -> _Run:
 def cmd_appraise(args) -> _Run:
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
-    doc = {"source": str(path), **asdict(result), "benefit_shortfall": args.shortfall}
+    doc = {**asdict(result), "benefit_shortfall": args.shortfall}
     artifacts = {"appraisal.json": doc}
     if args.format == "svg":
         curve = payoff_curve(model)
@@ -224,7 +220,6 @@ def cmd_stress(args) -> _Run:
     )
     result = run_stress(model, config)
     doc = result.to_dict()
-    doc["source"] = str(path)
     doc["capex_dist"] = args.dist
     if args.schedule_dist:
         doc["schedule_dist"] = args.schedule_dist
@@ -256,10 +251,8 @@ def cmd_grid(args) -> _Run:
         benefit_mults=_parse_mults(args.benefit_mults, "--benefit-mults"),
         cost_mults=_parse_mults(args.cost_mults, "--cost-mults"),
     )
-    doc = grid.to_dict()
-    doc["source"] = str(path)
     summary = f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells"
-    return [path], {"grid.json": doc, "grid.csv": grid.to_csv()}, summary
+    return [path], {"grid.json": asdict(grid), "grid.csv": grid.to_csv()}, summary
 
 
 def cmd_contingency(args) -> _Run:
@@ -267,7 +260,6 @@ def cmd_contingency(args) -> _Run:
     dist = datasets.resolve_dist(args.dist)
     result = size_contingency(model, dist, args.coverage)
     doc = result.to_dict()
-    doc["source"] = str(path)
     doc["capex_dist"] = args.dist
     summary = (
         f"contingency {result.contingency:.4f} at p={args.coverage:g}: "
@@ -399,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         started = time.perf_counter()
         inputs, artifacts, summary = args.func(args)
+        for doc in artifacts.values():
+            if isinstance(doc, dict):
+                doc["source"] = str(inputs[0])
         files = {name: _render(name, artifact) for name, artifact in artifacts.items()}
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,6 @@ from .refclass import (
     ProjectRecord,
     ReferenceClass,
     Region,
-    read_records_csv,
     summarize,
     write_records_csv,
 )
@@ -96,10 +95,6 @@ def resolve_dist(name_or_path: str) -> QuantileDistribution:
 
 def load_stylized_model() -> AppraisalModel:
     return load_model(asset_path(STYLIZED_MODEL))
-
-
-def load_synthetic_records() -> ReferenceClass:
-    return read_records_csv(asset_path(SYNTHETIC_CSV), label="synthetic-big-dams").reference_class
 
 
 def load_synthetic_summary() -> dict:

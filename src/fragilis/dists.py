@@ -24,7 +24,6 @@ import numpy as np
 from .errors import CalibrationError, InputError, load_json
 
 MAX_TAIL_SHAPE = 0.99  # calibrated shapes live in (0, 0.99); >= 1 means infinite mean
-DEFAULT_FLOOR = 0.4  # suits overrun ratios: some projects underrun, none go to zero
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +55,12 @@ class GeneralizedParetoTail:
 
     def mean_excess(self) -> float:
         return self.scale / (1.0 - self.shape)
+
+    def quantile_excess(self, q: np.ndarray) -> np.ndarray:
+        """Excess over the threshold at each tail level q in [0, 1)."""
+        if self.shape == 0.0:
+            return -self.scale * np.log1p(-q)
+        return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,15 +135,7 @@ class QuantileDistribution:
         tail = np.flatnonzero(p > p_last)
         if tail.size:
             q = (p.take(tail) - p_last) / (1.0 - p_last)
-            if self.tail.shape == 0.0:
-                excess = -self.tail.scale * np.log1p(-q)
-            else:
-                excess = (
-                    self.tail.scale
-                    / self.tail.shape
-                    * ((1.0 - q) ** -self.tail.shape - 1.0)
-                )
-            out.put(tail, xs[-1] + excess)
+            out.put(tail, xs[-1] + self.tail.quantile_excess(q))
         return out.reshape(shape)
 
     def cdf(self, x: float) -> float:
@@ -190,8 +187,6 @@ class QuantileDistribution:
         ps, xs = self._nodes()
         total = 0.0
         for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
-            if p_hi <= pa:
-                return total
             top = min(pb, p_hi)
             x_top = xb if top == pb else float(self.quantile(top))
             if x_top == xa:
@@ -236,7 +231,7 @@ def _junction_scale(dist: QuantileDistribution) -> float:
 
 def build_quantile_dist(
     anchors: Sequence[tuple[float, float]],
-    floor_x: float = DEFAULT_FLOOR,
+    floor_x: float,
     tail_shape: float | None = None,
     tail_scale: float | None = None,
     mean_target: float | None = None,
@@ -248,10 +243,6 @@ def build_quantile_dist(
     and the shape is solved in (0, 0.99) so the analytic mean equals the
     target. Calibration fails if the target needs an infinite-mean tail
     (shape >= 1) or is below what the minimal tail already delivers.
-
-    The floor default suits overrun-ratio data; distributions on other
-    scales (e.g. shortfall fractions) need an explicit floor below their
-    first anchor.
     """
     anchors = sorted((float(p), float(x)) for p, x in anchors)
     ps = tuple(p for p, _ in anchors)

@@ -18,7 +18,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import astuple, dataclass, fields as dataclass_fields
+from dataclasses import asdict, astuple, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
@@ -201,16 +201,9 @@ class SummaryStats:
     share_over_1: float
     share_breaking: dict[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "iqr": self.iqr,
-            "quantiles": {str(p): x for p, x in self.quantiles.items()},
-            "share_over_1": self.share_over_1,
-            "share_breaking": {str(t): s for t, s in self.share_breaking.items()},
-        }
+    def to_dict(self) -> dict:  # JSON keys are strings: the two float-keyed maps take str(key)
+        return {**asdict(self), "quantiles": {str(p): x for p, x in self.quantiles.items()},
+                "share_breaking": {str(t): s for t, s in self.share_breaking.items()}}
 
 
 def summarize(

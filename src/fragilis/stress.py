@@ -209,9 +209,6 @@ class SensitivityGrid:
     irr: tuple[tuple[float | None, ...], ...]
     bcr: tuple[tuple[float, ...], ...]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_csv(self) -> str:
         lines = ["cost_mult\\benefit_mult," + ",".join(f"{b:g}" for b in self.benefit_mults)]
         for k, row in zip(self.cost_mults, self.irr):

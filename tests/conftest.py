@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +43,43 @@ def random_model(rng: np.random.Generator, r_range=(0.0, 0.25), with_om=True) ->
 def result_json(result: StressResult) -> str:
     """A stress result's document as stress.json lays it out: indented, keys sorted."""
     return json.dumps(result.to_dict(), indent=2, sort_keys=True)
+
+
+def quantile_oracle(values, p):
+    """Brute-force type 7 quantile of values at level p, from a sorted copy."""
+    s = sorted(values)
+    n = len(s)
+    if n == 1:
+        return s[0]
+    h = (n - 1) * p
+    lo = min(int(math.floor(h)), n - 2)
+    return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+
+
+def u_pairwise(x, y):
+    """Brute-force U oracle: pairs with x_i > y_j plus half the tied pairs."""
+    gt = sum(1 for a in x for b in y if a > b)
+    eq = sum(1 for a in x for b in y if a == b)
+    return gt + 0.5 * eq
+
+
+def mwu_enumeration_oracle(x, y):
+    """Independent full-enumeration permutation oracle: double-loop U on
+    every labeling of the pooled values."""
+    pooled = list(x) + list(y)
+    n, m = len(x), len(y)
+    center = n * m / 2.0
+
+    def u_of(ix):
+        gx = [pooled[i] for i in ix]
+        gy = [pooled[i] for i in range(n + m) if i not in set(ix)]
+        return u_pairwise(gx, gy)
+
+    u_obs = u_of(tuple(range(n)))
+    dev = abs(u_obs - center)
+    combos = list(itertools.combinations(range(n + m), n))
+    hits = sum(1 for ix in combos if abs(u_of(ix) - center) >= dev)
+    return u_obs, hits / len(combos)
 
 
 def near_degenerate_dist(value: float) -> QuantileDistribution:

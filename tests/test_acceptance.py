@@ -3,7 +3,6 @@ line with the measured values. Run with `pytest tests/test_acceptance.py -v -s`
 to see every line."""
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -33,7 +32,7 @@ from fragilis.stress import (
     sensitivity_grid,
 )
 
-from conftest import random_model, result_json
+from conftest import mwu_enumeration_oracle, quantile_oracle, random_model, result_json
 
 
 def criterion(label):
@@ -145,26 +144,6 @@ def test_c6_contingency(stylized, dam_dist):
 # C7: oracle equivalence
 
 
-def _mwu_oracle(x, y):
-    pooled = list(x) + list(y)
-    n, m = len(x), len(y)
-    center = n * m / 2.0
-
-    def u_of(ix):
-        sel = set(ix)
-        gx = [pooled[i] for i in ix]
-        gy = [pooled[i] for i in range(n + m) if i not in sel]
-        return sum(1.0 for a in gx for b in gy if a > b) + 0.5 * sum(
-            1.0 for a in gx for b in gy if a == b
-        )
-
-    u_obs = u_of(tuple(range(n)))
-    dev = abs(u_obs - center)
-    combos = list(itertools.combinations(range(n + m), n))
-    hits = sum(1 for ix in combos if abs(u_of(ix) - center) >= dev)
-    return u_obs, hits / len(combos)
-
-
 def _irr_bisect_oracle(stream, segments=257, tol=1e-8):
     lo, hi = -0.99, 10.0
     f = stream.present_value
@@ -192,16 +171,6 @@ def _irr_bisect_oracle(stream, segments=257, tol=1e-8):
     return None
 
 
-def _quantile_oracle(values, p):
-    s = sorted(values)
-    n = len(s)
-    if n == 1:
-        return s[0]
-    h = (n - 1) * p
-    lo = min(int(math.floor(h)), n - 2)
-    return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
-
-
 @criterion("C7 oracle equivalence (MWU, IRR, quantiles, KDE)")
 def test_c7_oracle_equivalence():
     rng = np.random.default_rng(2027)
@@ -216,7 +185,7 @@ def test_c7_oracle_equivalence():
         else:
             x = list(rng.normal(0, 1, size=n))
             y = list(rng.normal(0, 1, size=m))
-        u_oracle, p_oracle = _mwu_oracle(x, y)
+        u_oracle, p_oracle = mwu_enumeration_oracle(x, y)
         result = mann_whitney_u(x, y)
         assert result.method == "exact"
         assert result.statistic == u_oracle
@@ -246,7 +215,7 @@ def test_c7_oracle_equivalence():
     for n in range(1, 51):
         values = list(rng.uniform(0.4, 3.5, size=n))
         for p in (0.0, 0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 1.0):
-            assert quantile(values, (p,))[0] == _quantile_oracle(values, p)
+            assert quantile(values, (p,))[0] == quantile_oracle(values, p)
         records = tuple(
             ProjectRecord(
                 id=f"R{i}", name="r", country="X", region=Region.ASIA,
@@ -259,7 +228,7 @@ def test_c7_oracle_equivalence():
         ratios = [cost_overrun_ratio(r) for r in ref.records]
         stats = summarize(ref, "cost", thresholds=(1.4,))
         assert stats.mean == math.fsum(ratios) / n
-        assert stats.median == _quantile_oracle(ratios, 0.5)
+        assert stats.median == quantile_oracle(ratios, 0.5)
         assert stats.share_breaking[1.4] == sum(1 for v in ratios if v >= 1.4) / n
 
     # KDE vs direct kernel sum within 1e-12, 100 random small samples

@@ -343,6 +343,21 @@ def test_net_stream_multipliers_match_apply_stress():
             assert net_stream(m, k, b) == net_stream(apply_stress(m, k, b))
 
 
+def test_apply_stress_overflow_is_compute_error():
+    # scaled is the one place an amount is multiplied, so both paths fail alike
+    m = simple_model([(0, 1000), (1, 50)], [(2, 600), (3, 600)], 0.08)
+    for stressed in (lambda: apply_stress(m, cost_mult=1e306), lambda: net_stream(m, 1e306)):
+        with pytest.raises(ComputeError, match="a scaled cash flow amount overflows a float"):
+            stressed()
+
+
+@pytest.mark.parametrize("mults", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+def test_apply_stress_rejects_nan_and_negative_multipliers(mults):
+    m = simple_model([(0, 100)], [(1, 60)], 0.1)
+    with pytest.raises(InputError, match="stress multipliers must be >= 0"):
+        apply_stress(m, *mults)
+
+
 # ---------------------------------------------------------------------------
 # break-even delay
 
@@ -456,7 +471,7 @@ def test_irr_npv_residual_invariant():
             (float(t), float(rng.uniform(10, 120))) for t in range(1, horizon + 1)
         ]
         stream = CashFlowStream.of(entries)
-        if stream.total() <= 0:
+        if math.fsum(a for _, a in stream.entries) <= 0:
             continue
         rate = irr(stream)
         assert rate is not None

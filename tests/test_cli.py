@@ -856,6 +856,22 @@ def test_every_command_manifest_records_how_the_run_went(tmp_path):
     assert len(read_json(out / "manifest-report.json")["inputs"]) == 8
 
 
+def test_every_json_artifact_names_the_file_its_command_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURE, "records.csv")
+    shutil.copy(STYLIZED, "model.json")
+    for i, argv in enumerate((
+        ["ingest", "records.csv"], ["stats", "records.csv"], ["density", "records.csv"],
+        ["test", "records.csv", "--test", "trend"], ["appraise", "model.json"],
+        ["stress", "model.json", "--dist", "big-dam", "--trials", "500", "--seed", "4"],
+        ["grid", "model.json"], ["contingency", "model.json", "--dist", "big-dam"],
+    )):
+        out = tmp_path / f"o{i}"
+        assert run(argv + ["--out", str(out)]) == 0
+        docs = [p for p in out.glob("*.json") if not p.name.startswith("manifest-")]
+        assert docs and all(read_json(p)["source"] == argv[1] for p in docs), argv
+
+
 def test_cli_import_leaves_thread_pool_unloaded():
     # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it
     src = Path(stress.__file__).parents[1]
@@ -879,6 +895,28 @@ def test_every_imported_name_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_every_private_module_name_is_used():
+    # a module-level _helper that its module reads only inside its own definition is dead code
+    for path in sorted(Path(stress.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        readers: dict[str, set[int]] = {}  # name -> the top-level statements that read it
+        for i, stmt in enumerate(body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add(i)
+        for i, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            unused = sorted(name for name in defined if name.startswith("_")
+                            and not name.startswith("__") and not readers.get(name, set()) - {i})
+            assert not unused, f"{path.name} never uses {unused}"
 
 
 def test_failing_command_writes_nothing(tmp_path, monkeypatch):
@@ -1009,7 +1047,7 @@ def test_fixture_tracks_source_anchors():
     # from: median within 0.05 of 1.27 and breaking share within 0.04 of 0.47
     from fragilis.refclass import summarize
 
-    ref = datasets.load_synthetic_records()
+    ref = read_records_csv(datasets.asset_path(datasets.SYNTHETIC_CSV)).reference_class
     stats = summarize(ref, "cost", thresholds=(1.4,))
     assert abs(stats.median - 1.27) <= 0.05
     assert abs(stats.share_breaking[1.4] - 0.47) <= 0.04

@@ -22,6 +22,8 @@ from fragilis.refclass import (
     write_records_csv,
 )
 
+from conftest import quantile_oracle
+
 
 def make_record(i, *, est_cost=100.0, act_cost=150.0, est_months=60.0, act_months=80.0,
                 region=Region.ASIA, project_type="hydroelectric", year=1975,
@@ -177,22 +179,12 @@ def test_share_breaking_monotone_and_boundary():
     assert stats.share_breaking[1.4] == sum(1 for r in exact if r >= 1.4) / len(exact)
 
 
-def _quantile_oracle(values, p):
-    s = sorted(values)
-    n = len(s)
-    if n == 1:
-        return s[0]
-    h = (n - 1) * p
-    lo = min(int(math.floor(h)), n - 2)
-    return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
-
-
 def test_quantile_matches_brute_force_exactly():
     rng = np.random.default_rng(4)
     for n in range(1, 51):
         values = list(rng.uniform(0.3, 4.0, size=n))
         for p in (0.0, 0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 0.97, 1.0):
-            assert quantile(values, (p,))[0] == _quantile_oracle(values, p)
+            assert quantile(values, (p,))[0] == quantile_oracle(values, p)
 
 
 def test_quantile_rejects_levels_outside_unit_interval():
@@ -216,10 +208,10 @@ def test_summarize_matches_brute_force():
         ratios = [cost_overrun_ratio(r) for r in ref.records]  # same data summarize sees
         stats = summarize(ref, "cost", thresholds=(1.4,))
         assert stats.mean == math.fsum(ratios) / n
-        assert stats.median == _quantile_oracle(ratios, 0.5)
-        assert stats.iqr == _quantile_oracle(ratios, 0.75) - _quantile_oracle(ratios, 0.25)
+        assert stats.median == quantile_oracle(ratios, 0.5)
+        assert stats.iqr == quantile_oracle(ratios, 0.75) - quantile_oracle(ratios, 0.25)
         for p, value in stats.quantiles.items():
-            assert value == _quantile_oracle(ratios, p)
+            assert value == quantile_oracle(ratios, p)
 
 
 # ---------------------------------------------------------------------------

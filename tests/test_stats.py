@@ -24,6 +24,8 @@ from fragilis.stats import (
     trend_f,
 )
 
+from conftest import mwu_enumeration_oracle, u_pairwise
+
 # ---------------------------------------------------------------------------
 # KDE
 
@@ -171,13 +173,6 @@ def test_kde_peak_memory_is_one_block():
 # Mann-Whitney U
 
 
-def _u_pairwise(x, y):
-    """Brute-force U oracle: pairs with x_i > y_j plus half the tied pairs."""
-    gt = sum(1 for a in x for b in y if a > b)
-    eq = sum(1 for a in x for b in y if a == b)
-    return gt + 0.5 * eq
-
-
 def test_mwu_small_example_exact():
     result = mann_whitney_u([3, 4], [1, 2])
     assert result.statistic == 4
@@ -203,25 +198,6 @@ def test_mwu_u_complement_identity():
         assert u_xy + u_yx == n * m
 
 
-def _mwu_enumeration_oracle(x, y):
-    """Independent full-enumeration permutation oracle: double-loop U on
-    every labeling of the pooled values."""
-    pooled = list(x) + list(y)
-    n, m = len(x), len(y)
-    center = n * m / 2.0
-
-    def u_of(ix):
-        gx = [pooled[i] for i in ix]
-        gy = [pooled[i] for i in range(n + m) if i not in set(ix)]
-        return _u_pairwise(gx, gy)
-
-    u_obs = u_of(tuple(range(n)))
-    dev = abs(u_obs - center)
-    combos = list(itertools.combinations(range(n + m), n))
-    hits = sum(1 for ix in combos if abs(u_of(ix) - center) >= dev)
-    return u_obs, hits / len(combos)
-
-
 def test_mwu_exact_matches_enumeration_oracle():
     # every split of every N up to 12, tied and tie-free: the counted p-value
     # equals the enumerated one bit for bit
@@ -230,7 +206,7 @@ def test_mwu_exact_matches_enumeration_oracle():
         for n in range(1, total):
             for pooled in (rng.integers(0, 5, size=total).astype(float), rng.normal(size=total)):
                 x, y = list(pooled[:n]), list(pooled[n:])
-                u_oracle, p_oracle = _mwu_enumeration_oracle(x, y)
+                u_oracle, p_oracle = mwu_enumeration_oracle(x, y)
                 result = mann_whitney_u(x, y)
                 assert result.method == "exact"
                 assert result.statistic == u_oracle
@@ -288,7 +264,7 @@ def test_mwu_normal_approx_u_matches_pairwise_oracle():
             y = list(rng.integers(0, distinct, size=total - n).astype(float) / 4.0)
             result = mann_whitney_u(x, y)
             assert result.method == "normal_approx"
-            assert result.statistic == _u_pairwise(x, y)
+            assert result.statistic == u_pairwise(x, y)
 
 
 def test_mwu_normal_approx_vs_permutation_mc():

@@ -494,7 +494,7 @@ def test_grid_absent_irr_cell_still_returned():
 
 def test_grid_empty_multiplier_lists():
     model = build_stylized_model()
-    assert sensitivity_grid(model, [], [1.0, 2.0]).to_dict()["bcr"] == ((), ())
+    assert sensitivity_grid(model, [], [1.0, 2.0]).bcr == ((), ())
     grid = sensitivity_grid(model, [1.0], [])
     assert grid.irr == grid.bcr == () and grid.to_csv() == "cost_mult\\benefit_mult,1\n"
 
