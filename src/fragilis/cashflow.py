@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -34,6 +35,7 @@ from .errors import ComputeError, InputError, finite, load_json
 IRR_BRACKET = (-0.99, 10.0)
 _IRR_SCAN_SEGMENTS = 512
 _IRR_TOL = 1e-12
+_UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
 
 
 def discount_factor(rate: float, t: float) -> float:
@@ -94,8 +96,8 @@ class CashFlowStream:
         return CashFlowStream(entries)
 
     def shifted(self, years: float) -> "CashFlowStream":
-        if years < 0:
-            raise InputError(f"time shift must be >= 0, got {years}")
+        if not years >= 0:
+            raise InputError(f"delay must be >= 0, got {years}")
         return CashFlowStream(tuple((t + years, a) for t, a in self.entries))
 
 
@@ -230,7 +232,9 @@ def payoff_curve(model: AppraisalModel) -> PayoffCurve:
     def curve(entries):  # the discounted amounts, descending, and their running totals
         r = model.discount_rate
         amounts = sorted((a * discount_factor(r, t) for t, a in entries if a != 0.0), reverse=True)
-        return tuple(amounts), tuple(math.fsum(amounts[: i + 1]) for i in range(len(amounts)))
+        # one exact running sum, rounded once per entry: each prefix's math.fsum
+        units = (n * (_UNIT // d) for n, d in map(float.as_integer_ratio, amounts))
+        return tuple(amounts), tuple(total / _UNIT for total in accumulate(units))
 
     gains, cum_gain = curve(model.benefits.entries)
     pains, cum_pain = curve(model.capex.entries + model.om_costs.entries)
@@ -289,11 +293,9 @@ def apply_stress(
     """
     if not (cost_mult >= 0 and benefit_mult >= 0):  # NaN fails too
         raise InputError("stress multipliers must be >= 0")
-    if delay_years < 0:
-        raise InputError(f"delay must be >= 0, got {delay_years}")
-    return AppraisalModel(
+    return AppraisalModel(  # shift before scaling: a bad delay is reported before an overflow
+        benefits=model.benefits.shifted(delay_years).scaled(benefit_mult),
         capex=model.capex.scaled(cost_mult),
-        benefits=model.benefits.scaled(benefit_mult).shifted(delay_years),
         om_costs=model.om_costs.shifted(delay_years),
         discount_rate=model.discount_rate,
         base_year=model.base_year,

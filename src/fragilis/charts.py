@@ -24,13 +24,19 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     raw = (hi - lo) / n
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    first = math.ceil(lo / step) * step
     out = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * step:
         out.append(round(t, 12))
+        if t + step == t:  # the step is below half an ulp of t: no further tick
+            break
         t += step
     return out
+
+
+def _span(lo: float, hi: float) -> float:
+    """Axis top: hi, or for one value lo, one unit above it (one ulp if a unit rounds away)."""
+    return hi if hi != lo else max(lo + 1.0, math.nextafter(lo, math.inf))
 
 
 def _esc(text: str) -> str:
@@ -42,13 +48,9 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("every series needs equal-length, non-empty x and y")
     x_lo = min(min(xs) for _, xs, _ in series)
-    x_hi = max(max(xs) for _, xs, _ in series)
+    x_hi = _span(x_lo, max(max(xs) for _, xs, _ in series))
     y_lo = min(0.0, min(min(ys) for _, _, ys in series))
-    y_hi = max(max(ys) for _, _, ys in series)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    y_hi = _span(y_lo, max(max(ys) for _, _, ys in series))
 
     def sx(v: float) -> float:
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit per-group statistics instead of one summary")
     p = command("density", cmd_density, "kernel density trace of a ratio metric", "ratios")
     p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--format", choices=["json", "csv", "svg"], default="csv")
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p = command("test", cmd_test, "bias / decades / trend tests on a reference class", "ratios")
     p.add_argument("--test", choices=["bias", "decades", "trend"], required=True)
     p = command("appraise", cmd_appraise, "NPV, BCR, IRR and break-even thresholds", "model")

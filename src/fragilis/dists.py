@@ -62,6 +62,13 @@ class GeneralizedParetoTail:
             return -self.scale * np.log1p(-q)
         return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
 
+    def partial_mean_excess(self, q: float) -> float:
+        """Integral of quantile_excess over tail levels (0, q), for q in [0, 1)."""
+        w = 1.0 - q
+        if self.shape == 0.0:
+            return self.scale * (w * math.log(w) - w + 1.0)
+        return self.scale / self.shape * ((1.0 - w ** (1.0 - self.shape)) / (1.0 - self.shape) - q)
+
 
 @dataclass(frozen=True, slots=True)
 class QuantileDistribution:
@@ -196,16 +203,10 @@ class QuantileDistribution:
             total += (top - pa) * avg
             if top == p_hi:
                 return total
-        # remainder lies in the tail; integrate threshold + excess quantile:
-        #   int_0^q sigma/xi ((1-t)^-xi - 1) dt, with w = 1 - q
+        # remainder lies in the tail: integrate threshold + excess quantile
         p_last = float(ps[-1])
         q_hi = (p_hi - p_last) / (1.0 - p_last)
-        xi, sigma = self.tail.shape, self.tail.scale
-        w = 1.0 - q_hi
-        if xi != 0.0:
-            integral_excess = (sigma / xi) * ((1.0 - w ** (1.0 - xi)) / (1.0 - xi) - q_hi)
-        else:
-            integral_excess = sigma * (w * math.log(w) - w + 1.0)
+        integral_excess = self.tail.partial_mean_excess(q_hi)
         return total + (1.0 - p_last) * (self.anchor_xs[-1] * q_hi + integral_excess)
 
     # -- serialization -------------------------------------------------------

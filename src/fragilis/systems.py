@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -82,12 +83,11 @@ def classify_quadrant(profile: FragilityProfile, cutoffs: Cutoffs) -> str:
 
 def classification_report(profile: FragilityProfile, cutoffs: Cutoffs) -> dict:
     """Quadrant plus axis labels and embedded convention notes, JSON-ready."""
-    labels = _labels(profile, cutoffs)
-    quadrant = _QUADRANTS[tuple(labels.values())]
+    quadrant = classify_quadrant(profile, cutoffs)
     return {
         "quadrant": quadrant,
         "description": QUADRANT_DESCRIPTIONS[quadrant],
-        "labels": labels,
+        "labels": _labels(profile, cutoffs),
         "threshold": profile.threshold,
         "recoverability": profile.recoverability,
         "cutoffs": {"threshold": cutoffs.threshold, "recoverability": cutoffs.recoverability},
@@ -131,15 +131,12 @@ class SystemGraph:
     def __post_init__(self) -> None:
         if not self.components:
             raise InputError("system graph needs at least one component")
-        seen = [node for node in _walk(self.root) if isinstance(node, str)]
-        unknown = [c for c in seen if c not in self.components]
-        if unknown:
+        counts = Counter(node for node in _walk(self.root) if isinstance(node, str))
+        if unknown := [c for c in counts if c not in self.components]:  # in depth-first order
             raise InputError(f"composition tree references unknown component {unknown[0]!r}")
-        if sorted(seen) != sorted(self.components):
-            dupes = {c for c in seen if seen.count(c) > 1}
-            if dupes:
-                raise InputError(f"components referenced more than once: {sorted(dupes)}")
-            missing = set(self.components) - set(seen)
+        if dupes := sorted(c for c, n in counts.items() if n > 1):
+            raise InputError(f"components referenced more than once: {dupes}")
+        if missing := self.components.keys() - counts.keys():
             raise InputError(f"components missing from the tree: {sorted(missing)}")
 
     def has_redundancy(self) -> bool:

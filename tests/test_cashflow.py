@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_payoff_brute_force_randomized():
         assert all(a <= b for a, b in zip(curve.cum_pain, curve.cum_pain[1:]))
 
 
+def test_payoff_running_totals_are_exact_prefix_sums():
+    # 50,000 amounts across many binades; an fsum per prefix is quadratic (about 30 s on 2 CPUs)
+    rng = np.random.default_rng(20)
+    n = 50_000
+    times = np.sort(rng.uniform(0.0, 40.0, n)).tolist()
+    m = simple_model([(0, 1.0)], zip(times, rng.lognormal(0.0, 4.0, n).tolist()), 0.05)
+    started = time.perf_counter()
+    curve = payoff_curve(m)
+    assert time.perf_counter() - started < 5.0
+    for i in [0, n - 1, *rng.choice(n, 300, replace=False).tolist()]:
+        assert curve.cum_gain[i] == math.fsum(curve.gains_desc[: i + 1])
+    assert curve.cum_pain == (1.0,)
+
+
 # ---------------------------------------------------------------------------
 # break-even overrun
 
@@ -356,6 +371,18 @@ def test_apply_stress_rejects_nan_and_negative_multipliers(mults):
     m = simple_model([(0, 100)], [(1, 60)], 0.1)
     with pytest.raises(InputError, match="stress multipliers must be >= 0"):
         apply_stress(m, *mults)
+
+
+@pytest.mark.parametrize("delay", [-1.0, math.nan])
+def test_apply_stress_rejects_negative_and_nan_delay(delay):
+    m = simple_model([(0, 100)], [(1, 60)], 0.1)
+    with pytest.raises(InputError, match="delay must be >= 0"):
+        apply_stress(m, delay_years=delay)
+    # the multipliers are checked first, the delay before an overflowing scale
+    with pytest.raises(InputError, match="stress multipliers must be >= 0"):
+        apply_stress(m, cost_mult=math.nan, delay_years=delay)
+    with pytest.raises(InputError, match="delay must be >= 0"):
+        apply_stress(m, cost_mult=1e307, benefit_mult=1e307, delay_years=delay)
 
 
 # ---------------------------------------------------------------------------

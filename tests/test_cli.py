@@ -624,6 +624,33 @@ def test_density_tiny_bandwidth_is_input_error(tmp_path, capsys):
     assert not (out / "density.json").exists()
 
 
+@pytest.mark.parametrize("ratios, bandwidth", [
+    (["1e17"] * 5, "1"),  # every grid value rounds to 1e17, so one unit above it is 1e17 too
+    (["1.0", "1.0000000000000002"], "1e-300"),  # a tick step below half an ulp of 1.0
+])
+def test_density_svg_on_a_one_ulp_axis(tmp_path, ratios, bandwidth):
+    # in a subprocess with a timeout: a tick loop whose step cannot move never returns
+    csv_path = tmp_path / "narrow.csv"
+    rows = [f"R{i},Dam,X,Asia,road,{1990 + i},1,{r},3,4,," for i, r in enumerate(ratios)]
+    csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["density", str(csv_path), "--bandwidth", bandwidth, "--format", "svg",
+            "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "fragilis.cli", *argv], capture_output=True,
+                          text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": str(Path(stress.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert (out / "density.svg").read_text().startswith("<svg")
+
+
+def test_density_json_format_is_usage_error(tmp_path, capsys):
+    # density writes density.json and density.csv for every format; --format adds only the chart
+    with pytest.raises(SystemExit) as exc:
+        run(["density", FIXTURE, "--format", "json", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+
+
 def test_test_command_bias_decades_trend(tmp_path):
     for name in ("bias", "decades", "trend"):
         out = tmp_path / name
@@ -873,12 +900,14 @@ def test_every_json_artifact_names_the_file_its_command_read(tmp_path, monkeypat
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it
+    # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it;
+    # fractions (with the decimal it loads) costs 3-4.5 ms, so payoff_curve sums in ints
     src = Path(stress.__file__).parents[1]
-    code = "import sys, fragilis.cli; print('concurrent.futures' in sys.modules)"
+    heavy = ("concurrent.futures", "fractions", "decimal")
+    code = f"import sys, fragilis.cli; print([m for m in {heavy} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_every_imported_name_is_used():

@@ -105,12 +105,10 @@ def test_calibration_requires_exactly_one_tail_spec():
 
 
 def test_inverse_cdf_strictly_monotone(canonical_dist):
-    rng = np.random.default_rng(77)
-    for _ in range(10_000):
-        u1, u2 = sorted(rng.uniform(1e-9, 1 - 1e-9, size=2))
-        if u1 == u2:
-            continue
-        assert canonical_dist.quantile(u1) < canonical_dist.quantile(u2)
+    # 10,000 sorted pairs drawn in one call, then one quantile_array per column
+    u = np.sort(np.random.default_rng(77).uniform(1e-9, 1 - 1e-9, size=(10_000, 2)), axis=1)
+    u1, u2 = u[u[:, 0] < u[:, 1]].T
+    assert np.all(canonical_dist.quantile_array(u1) < canonical_dist.quantile_array(u2))
 
 
 def test_cdf_quantile_round_trip(canonical_dist):
@@ -293,6 +291,15 @@ def test_partial_mean_converges_to_mean(canonical_dist):
     # convergence is power-law, not exponential
     assert hi == pytest.approx(canonical_dist.mean(), rel=1e-2)
     assert mid == pytest.approx(canonical_dist.body_mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [-0.5, 0.0, 0.3, 0.714])
+def test_partial_mean_excess_integrates_quantile_excess(shape):
+    tail = GeneralizedParetoTail(shape, 0.8)
+    assert tail.partial_mean_excess(0.0) == 0.0
+    for q in (0.1, 0.5, 0.9, 0.99):
+        value, _ = integrate.quad(lambda t: float(tail.quantile_excess(t)), 0.0, q)
+        assert tail.partial_mean_excess(q) == pytest.approx(value, rel=1e-9)
 
 
 def test_partial_mean_matches_quadrature(canonical_dist):

@@ -1,4 +1,6 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -149,6 +151,18 @@ def test_graph_validation():
         )
     with pytest.raises(InputError):
         CompositionNode("parallel-ish", ("a",))
+
+
+def test_graph_references_are_counted_once():
+    # a count per reference grew with the square of the references
+    text = json.dumps({
+        "components": {c: {"threshold": 1.0, "recoverability": 0.5} for c in "ab"},
+        "system": {"kind": "series", "children": ["a"] * 200_000},
+    })
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=r"referenced more than once: \['a'\]"):  # before 'b'
+        graph_from_json(text)
+    assert time.perf_counter() - started < 5.0
 
 
 # ---------------------------------------------------------------------------
