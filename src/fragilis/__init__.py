@@ -59,11 +59,9 @@ from .stress import (
 from .systems import (
     CompositionNode,
     Cutoffs,
-    DegradationPath,
     FragilityProfile,
     SystemGraph,
     classify_quadrant,
-    degrade_threshold,
     system_threshold,
 )
 

@@ -39,6 +39,17 @@ def _span(lo: float, hi: float) -> float:
     return hi if hi != lo else max(lo + 1.0, math.nextafter(lo, math.inf))
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Each tick as :g, or with the fewest significant digits from 7 to 17
+    that give ticks of distinct float value distinct labels (17 always does)."""
+    values = {float(tick) for tick in ticks}  # _ticks gives ints on an integer step
+    for spec in ("g", *(f".{digits}g" for digits in range(7, 18))):
+        labels = [format(tick, spec) for tick in ticks]
+        if len(set(labels)) == len(values):
+            break
+    return labels
+
+
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -66,7 +77,8 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
         f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" font-family="sans-serif" '
         f'font-size="14">{_esc(title)}</text>',
     ]
-    for tick in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = sx(tick)
         parts.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{px:.2f}" '
@@ -74,9 +86,10 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
         )
         parts.append(
             f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    y_ticks = _ticks(y_lo, y_hi)
+    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = sy(tick)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" '
@@ -84,7 +97,7 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
         )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '

@@ -186,13 +186,10 @@ def cmd_appraise(args) -> _Run:
     artifacts = {"appraisal.json": doc}
     if args.format == "svg":
         curve = payoff_curve(model)
-        counts_g = list(range(1, len(curve.cum_gain) + 1))
-        counts_p = list(range(1, len(curve.cum_pain) + 1))
+        legs = (("cumulative gain", curve.cum_gain), ("cumulative pain", curve.cum_pain))
         artifacts["payoff.svg"] = charts.line_chart(
-            [
-                ("cumulative gain", counts_g, curve.cum_gain),
-                ("cumulative pain", counts_p, curve.cum_pain),
-            ],
+            # a model with no nonzero benefit has no gain leg; pain is always there
+            [(label, list(range(1, len(cum) + 1)), cum) for label, cum in legs if cum],
             title="Payoff structure: discounted gain vs pain (descending)",
             x_label="cash flows, largest first",
             y_label="cumulative discounted value",

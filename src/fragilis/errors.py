@@ -3,8 +3,8 @@
 The CLI maps InputError to exit code 2 (validation) and ComputeError to
 exit code 3 (computation); everything else is a bug. finite is the overflow
 check on every scalar figure (run_stress checks its numpy sum itself), and
-parse_json reads every JSON document: system graphs, and through load_json
-every model, distribution and report artifact file.
+load_json reads every JSON document: each model, distribution and report
+artifact file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import IO, Any, Callable
+from typing import Any, Callable
 
 
 class FragilisError(Exception):
@@ -54,18 +54,12 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def parse_json(source: str | IO[str], what: str) -> Any:
-    """The JSON document in source, a text or an open text file. Bad JSON or
-    UTF-8, nesting too deep, or the NaN, Infinity and -Infinity that RFC 8259
-    has no place for raise InputError naming the document as `what`."""
-    try:
-        return json.loads(source if isinstance(source, str) else source.read(),
-                          parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"{what} is not valid JSON: {exc}") from None
-
-
 def load_json(path: str | Path, what: str) -> Any:
-    """parse_json of the file at path, naming it as `what` and the path."""
+    """The JSON document in the file at path. Bad JSON or UTF-8, nesting too
+    deep, or the NaN, Infinity and -Infinity that RFC 8259 has no place for
+    raise InputError naming the document as `what` and the path."""
     with open(path, encoding="utf-8") as fh:
-        return parse_json(fh, f"{what} {path}")
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{what} {path} is not valid JSON: {exc}") from None

@@ -55,6 +55,10 @@ worker thread: 0.8 GB at this cap. (tracemalloc peaks at 4M trials on 2
 workers: 37.5 MB capex only, 39.5 MB full shape, 41.5 MB with a shortfall
 distribution.)"""
 
+MAX_GRID_CELLS = 10_000
+"""Largest benefit x cost multiplier grid sensitivity_grid computes. Each
+cell's IRR scans 513 rates, about 1.3 ms, so the cap is about 13 s."""
+
 
 @dataclass(frozen=True, slots=True)
 class StressConfig:
@@ -228,6 +232,8 @@ def sensitivity_grid(
     cost_mults = tuple(float(k) for k in cost_mults)
     if not all(0.0 < m < math.inf for m in benefit_mults + cost_mults):  # NaN fails too
         raise InputError("grid multipliers must be positive and finite")
+    if (cells := len(benefit_mults) * len(cost_mults)) > MAX_GRID_CELLS:
+        raise InputError(f"grid has {cells} cells, more than the cap of {MAX_GRID_CELLS}")
     # cell by cell in row order, IRR before BCR: the first figure that fails names the error
     rows = [[(irr(net_stream(model, k, b)), bcr(model, k, b)) for b in benefit_mults]
             for k in cost_mults]

@@ -60,6 +60,17 @@ def test_appraise_svg_payoff(tmp_path):
     assert svg.startswith("<svg") and "cumulative gain" in svg
 
 
+def test_appraise_svg_without_gain_plots_only_pain(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text('{"discount_rate": 0.05, "capex": [{"t": 0, "amount": 100}], '
+                     '"benefits": [{"t": 1, "amount": 0}]}')
+    out = tmp_path / "o"
+    assert run(["appraise", str(model), "--format", "svg", "--out", str(out)]) == 0
+    assert read_json(out / "appraisal.json")["bcr"] == 0
+    svg = (out / "payoff.svg").read_text()
+    assert svg.count("<polyline") == 1 and "cumulative pain" in svg and "cumulative gain" not in svg
+
+
 def test_appraise_missing_model_is_validation_error(tmp_path):
     assert run(["appraise", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -747,6 +758,17 @@ def test_grid_overflowing_multiplier_is_computation_error(tmp_path, capsys):
     assert run(["grid", STYLIZED, "--cost-mults", "1e306", "--benefit-mults", "1", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "overflows a float" in err
+    assert not out.exists()
+
+
+def test_grid_over_the_cell_cap_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    benefit_mults = ",".join(str(1 + i / 1000) for i in range(101))
+    cost_mults = ",".join(str(1 + i / 1000) for i in range(100))
+    rc = run(["grid", STYLIZED, "--benefit-mults", benefit_mults, "--cost-mults", cost_mults,
+              "--out", str(out)])
+    assert rc == 2
+    assert f"cap of {stress.MAX_GRID_CELLS}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from fragilis.dists import dist_from_dict, load_dist
 from fragilis.errors import FragilisError
 from fragilis.refclass import CSV_COLUMNS, group_stats, read_records_csv, summarize
 from fragilis.stress import StressConfig, run_stress, size_contingency
-from fragilis.systems import graph_from_json, system_threshold, system_threshold_report
 
 _FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -103,12 +102,6 @@ CALIBRATED_DIST = {**DIST, "tail": {"calibrate_mean": 1.6}}
 SHORTFALL_DIST = {"anchors": [{"p": 0.5, "x": 0.11}], "floor_x": 0.001,
                   "tail": {"shape": -0.25, "scale": 0.04}}
 _DISTS = (DIST, CALIBRATED_DIST, SHORTFALL_DIST)
-GRAPH = {
-    "components": {"a": {"threshold": 1.2, "recoverability": 0.5},
-                   "b": {"threshold": 2.0, "recoverability": 0.1},
-                   "c": {"threshold": 1.5, "recoverability": 0.9}},
-    "system": {"kind": "series", "children": ["a", {"kind": "redundant", "children": ["b", "c"]}]},
-}
 
 
 @_FUZZ
@@ -148,26 +141,6 @@ def test_dist_files_raise_only_fragilis_errors(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "dist.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     _only_fragilis_errors(load_dist, path)
-
-
-@_FUZZ
-@given(_fields(GRAPH))
-def test_graph_documents_raise_only_fragilis_errors(doc):
-    graph = _only_fragilis_errors(graph_from_json, json.dumps(doc))
-    if graph is not None:
-        system_threshold(graph)
-        system_threshold_report(graph)
-
-
-@pytest.mark.parametrize("depth", [50, 150, 5000])
-def test_deeply_nested_graph_is_input_error(depth):
-    node = '{"kind": "series", "children": [' * depth + '"a"' + "]}" * depth
-    text = '{"components": {"a": {"threshold": 1.0, "recoverability": 0.5}}, "system": %s}' % node
-    if depth <= 100:
-        assert system_threshold(graph_from_json(text)) == 1.0
-    else:
-        with pytest.raises(FragilisError, match="deeper than|not valid JSON"):
-            graph_from_json(text)
 
 
 @pytest.mark.parametrize("loader", [load_model, load_dist])

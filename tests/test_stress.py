@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from fragilis.errors import ComputeError, InputError
 from fragilis.stress import (
     CAPEX_TAG,
     DEFAULT_NPV_QUANTILES,
+    MAX_GRID_CELLS,
     MAX_TRIALS,
     SCHEDULE_TAG,
     SHORTFALL_TAG,
@@ -507,6 +509,15 @@ def test_grid_validation():
             sensitivity_grid(build_stylized_model(), [bad, 1.0], [1.0])
         with pytest.raises(InputError, match="positive and finite"):
             sensitivity_grid(build_stylized_model(), [1.0], [1.0, bad])
+
+
+def test_grid_caps_cells_before_computing_any():
+    model = build_stylized_model()
+    mults = [1.0 + i / 1000 for i in range(MAX_GRID_CELLS // 100 + 1)]
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=f"cap of {MAX_GRID_CELLS}"):
+        sensitivity_grid(model, mults, [1.0] * 100)  # 10,001 cells
+    assert time.perf_counter() - started < 0.5
 
 
 # ---------------------------------------------------------------------------

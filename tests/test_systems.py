@@ -1,4 +1,3 @@
-import json
 import math
 import time
 
@@ -7,19 +6,12 @@ import pytest
 
 from fragilis.errors import InputError
 from fragilis.systems import (
-    BOUNDARY_NOTE,
-    REDUNDANT_NOTE,
     CompositionNode,
     Cutoffs,
     FragilityProfile,
     SystemGraph,
-    classification_report,
     classify_quadrant,
-    degrade_threshold,
-    graph_from_json,
-    graph_to_json,
     system_threshold,
-    system_threshold_report,
 )
 
 CUTS = Cutoffs(threshold=1.0, recoverability=0.5)
@@ -69,13 +61,6 @@ def test_quadrant_invariant_under_monotone_rescaling():
         assert before == after
 
 
-def test_classification_report_embeds_notes():
-    report = classification_report(FragilityProfile(5.0, 0.1), CUTS)
-    assert report["quadrant"] == "Q2"
-    assert report["labels"] == {"threshold": "high", "recoverability": "low"}
-    assert BOUNDARY_NOTE in report["notes"]
-
-
 def test_profile_validation():
     with pytest.raises(InputError):
         FragilityProfile(0.0, 0.5)
@@ -115,14 +100,6 @@ def test_nested_redundant_series():
         CompositionNode("series", (CompositionNode("redundant", ("a", "b")), "c")),
     )
     assert system_threshold(g) == 2.0
-    report = system_threshold_report(g)
-    assert report["system_threshold"] == 2.0
-    assert REDUNDANT_NOTE in report["notes"]
-
-
-def test_series_report_has_no_redundancy_note():
-    g = graph_of({"a": 1.0}, CompositionNode("series", ("a",)))
-    assert system_threshold_report(g)["notes"] == []
 
 
 def test_adding_series_component_never_raises_threshold():
@@ -155,94 +132,7 @@ def test_graph_validation():
 
 def test_graph_references_are_counted_once():
     # a count per reference grew with the square of the references
-    text = json.dumps({
-        "components": {c: {"threshold": 1.0, "recoverability": 0.5} for c in "ab"},
-        "system": {"kind": "series", "children": ["a"] * 200_000},
-    })
     started = time.perf_counter()
     with pytest.raises(InputError, match=r"referenced more than once: \['a'\]"):  # before 'b'
-        graph_from_json(text)
+        graph_of({"a": 1.0, "b": 1.0}, CompositionNode("series", ("a",) * 200_000))
     assert time.perf_counter() - started < 5.0
-
-
-# ---------------------------------------------------------------------------
-# degradation
-
-
-def test_degrade_no_decay_never_breaks():
-    path = degrade_threshold(2.0, 0.0, 10, stressor=1.5)
-    assert path.first_break is None
-    assert all(t == 2.0 for t in path.thresholds)
-
-
-def test_degrade_hand_iteration():
-    path = degrade_threshold(2.0, 0.5, 5, stressor=0.6)
-    assert path.thresholds[:3] == (2.0, 1.0, 0.5)
-    assert path.first_break == 2
-
-
-def test_degrade_stressor_at_initial_threshold_breaks_immediately():
-    assert degrade_threshold(2.0, 0.1, 5, stressor=2.0).first_break == 0
-    assert degrade_threshold(2.0, 0.1, 5, stressor=2.5).first_break == 0
-
-
-def test_degrade_monotone_properties():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        tau0 = float(rng.uniform(0.5, 5.0))
-        rate = float(rng.uniform(0.01, 0.9))
-        sigma = float(rng.uniform(0.05, tau0))
-        path = degrade_threshold(tau0, rate, 50, sigma)
-        assert all(a >= b for a, b in zip(path.thresholds, path.thresholds[1:]))
-        faster = degrade_threshold(tau0, min(rate * 1.5, 0.95), 50, sigma)
-        bigger = degrade_threshold(tau0, rate, 50, min(sigma * 1.5, tau0))
-        for other in (faster, bigger):
-            if path.first_break is not None:
-                assert other.first_break is not None
-                assert other.first_break <= path.first_break
-
-
-def test_degrade_validation():
-    with pytest.raises(InputError):
-        degrade_threshold(0.0, 0.1, 5, 1.0)
-    with pytest.raises(InputError):
-        degrade_threshold(1.0, 1.0, 5, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-
-
-def test_graph_json_round_trip():
-    g = SystemGraph(
-        components={
-            "wall": FragilityProfile(2.5, 0.2),
-            "gen-a": FragilityProfile(1.2, 0.8),
-            "gen-b": FragilityProfile(1.5, 0.8),
-        },
-        root=CompositionNode("series", ("wall", CompositionNode("redundant", ("gen-a", "gen-b")))),
-    )
-    back = graph_from_json(graph_to_json(g))
-    assert back == g
-    assert system_threshold(back) == 1.5
-
-
-def test_graph_json_malformed():
-    with pytest.raises(InputError):
-        graph_from_json('{"components": {}}')
-    with pytest.raises(InputError):
-        graph_from_json('{"components": {')  # truncated JSON
-    with pytest.raises(InputError):
-        graph_from_json('{"components": [], "system": "a"}')
-    with pytest.raises(InputError):
-        graph_from_json(
-            '{"components": {"a": {"threshold": "x", "recoverability": 0.5}}, "system": "a"}'
-        )
-
-
-@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
-def test_graph_json_rejects_non_finite_threshold(literal):
-    text = '{"components": {"a": {"threshold": %s, "recoverability": 0.5}}, "system": "a"}'
-    with pytest.raises(InputError):
-        graph_from_json(text % literal)
-    assert system_threshold(graph_from_json(text % "1e300")) == 1e300
