@@ -113,7 +113,7 @@ class AppraisalModel:
 
     capex and om_costs are pain, benefits are gain; all amounts >= 0 and in
     the same constant base-year currency. Total discounted pain must be
-    positive. om_costs=None means the project has no O&M leg.
+    positive.
 
     pv_benefits, pv_capex and pv_om (B, C, O) are the streams' present values
     at discount_rate, computed once after the amount checks; the first one
@@ -131,8 +131,6 @@ class AppraisalModel:
     pv_om: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.om_costs is None:
-            object.__setattr__(self, "om_costs", CashFlowStream.zero())
         _require_nonnegative(self.capex, "capex")
         _require_nonnegative(self.om_costs, "O&M")
         _require_nonnegative(self.benefits, "benefit")

@@ -18,19 +18,22 @@ PALETTE = ("#1f6fb2", "#b2451f", "#3a8f3a", "#7a4fb2")
 Series = tuple[str, Sequence[float], Sequence[float]]  # label, xs, ys
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six ticks, 1, 2 or 5 times 10**e apart, each rounded at the step's
+    decimal place and kept if it lies on [lo, hi] and differs from the last."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
-    mag = 10 ** math.floor(math.log10(raw))
+    raw = max((hi - lo) / 6, math.ulp(0.0))
+    e = max(math.floor(math.log10(raw)), -323)  # 10.0 ** -324 underflows to 0
+    mag = 10.0 ** e
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    out = []
+    out: list[float] = []
     t = math.ceil(lo / step) * step
-    while t <= hi + 1e-12 * step:
-        out.append(round(t, 12))
-        if t + step == t:  # the step is below half an ulp of t: no further tick
-            break
-        t += step
+    while t - hi <= 1e-12 * step:  # t - hi: hi + 1e-12 * step may overflow to inf
+        tick = round(t, max(0, 1 - e))
+        if lo <= tick <= hi and (not out or tick != out[-1]):
+            out.append(tick)
+        t = max(t + step, math.nextafter(t, math.inf))  # a step below half an ulp of t
     return out
 
 
@@ -41,11 +44,10 @@ def _span(lo: float, hi: float) -> float:
 
 def _tick_labels(ticks: list[float]) -> list[str]:
     """Each tick as :g, or with the fewest significant digits from 7 to 17
-    that give ticks of distinct float value distinct labels (17 always does)."""
-    values = {float(tick) for tick in ticks}  # _ticks gives ints on an integer step
+    that give the distinct ticks distinct labels (17 always does)."""
     for spec in ("g", *(f".{digits}g" for digits in range(7, 18))):
         labels = [format(tick, spec) for tick in ticks]
-        if len(set(labels)) == len(values):
+        if len(set(labels)) == len(ticks):
             break
     return labels
 

@@ -15,7 +15,7 @@ against analytic values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -77,14 +77,12 @@ class QuantileDistribution:
     anchor_ps / anchor_xs are strictly increasing; floor_x is the value at
     p=0. Between consecutive nodes the quantile function is exponential in p
     (linear in log value); above the last anchor it follows the GPD tail.
-    mean_target records the calibration target when the tail was solved for.
     """
 
     anchor_ps: tuple[float, ...]
     anchor_xs: tuple[float, ...]
     floor_x: float
     tail: GeneralizedParetoTail
-    mean_target: float | None = None
 
     def __post_init__(self) -> None:
         if not self.anchor_ps:
@@ -209,18 +207,6 @@ class QuantileDistribution:
         integral_excess = self.tail.partial_mean_excess(q_hi)
         return total + (1.0 - p_last) * (self.anchor_xs[-1] * q_hi + integral_excess)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {
-            "anchors": [{"p": p, "x": x} for p, x in zip(self.anchor_ps, self.anchor_xs)],
-            "floor_x": self.floor_x,
-            "tail": {"shape": self.tail.shape, "scale": self.tail.scale},
-        }
-        if self.mean_target is not None:
-            d["mean_target"] = self.mean_target
-        return d
-
 
 def _junction_scale(dist: QuantileDistribution) -> float:
     """GPD scale that matches the body's quantile slope at the junction of
@@ -284,9 +270,7 @@ def build_quantile_dist(
         )
     # mean_for is strictly increasing in shape: solve directly
     shape = 1.0 - sigma * tail_mass / (mean_target - body - tail_mass * x_last)
-    dist = QuantileDistribution(
-        ps, xs, floor_x, GeneralizedParetoTail(shape, sigma), mean_target=mean_target
-    )
+    dist = QuantileDistribution(ps, xs, floor_x, GeneralizedParetoTail(shape, sigma))
     achieved = dist.mean()
     if abs(achieved - mean_target) > 1e-6 * abs(mean_target):
         raise CalibrationError(
@@ -305,18 +289,14 @@ def dist_from_dict(doc: dict) -> QuantileDistribution:
         if not isinstance(tail, dict):
             raise TypeError(f"tail must be an object, got {tail!r}")
         if "calibrate_mean" in tail:
-            calibrate_mean = float(tail["calibrate_mean"])
+            tail_args = {"mean_target": float(tail["calibrate_mean"])}
         else:
-            calibrate_mean, shape, scale = None, float(tail["shape"]), float(tail["scale"])
-            mean_target = float(doc["mean_target"]) if "mean_target" in doc else None
+            tail_args = {"tail_shape": float(tail["shape"]), "tail_scale": float(tail["scale"])}
     except KeyError as exc:
         raise InputError(f"malformed distribution document: missing {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed distribution document: {exc}") from None
-    if calibrate_mean is not None:
-        return build_quantile_dist(anchors, floor_x, mean_target=calibrate_mean)
-    dist = build_quantile_dist(anchors, floor_x, tail_shape=shape, tail_scale=scale)
-    return replace(dist, mean_target=mean_target)
+    return build_quantile_dist(anchors, floor_x, **tail_args)
 
 
 def load_dist(path: str | Path) -> QuantileDistribution:

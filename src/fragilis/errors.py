@@ -2,9 +2,9 @@
 
 The CLI maps InputError to exit code 2 (validation) and ComputeError to
 exit code 3 (computation); everything else is a bug. finite is the overflow
-check on every scalar figure (run_stress checks its numpy sum itself), and
-load_json reads every JSON document: each model, distribution and report
-artifact file.
+check on every scalar figure (run_stress checks its numpy sum itself) and
+checked_fsum on every sum over a sample; load_json reads every JSON
+document: each model, distribution and report artifact file.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ def finite(message: str, compute: Callable[[], float]) -> float:
     if not math.isfinite(value):
         raise ComputeError(message)
     return value
+
+
+def checked_fsum(terms) -> float:
+    """math.fsum of finite values, with a sum or square past the float range
+    (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
+    return finite("a sum or square of the sample overflows the float range",
+                  lambda: math.fsum(terms))
 
 
 def _reject_constant(name: str) -> Any:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked_fsum
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -79,6 +79,11 @@ class ProjectRecord:
         for label, value in (("est_benefit", self.est_benefit), ("act_benefit", self.act_benefit)):
             if value is not None and not math.isfinite(value):
                 raise InputError(f"{label} must be a finite number, got {value}")
+        # checked last, so a row with another fault keeps that diagnostic
+        if not self.act_cost / self.est_cost < math.inf:  # positive finite floats: never NaN
+            raise InputError("act_cost / est_cost overflows the float range")
+        if not self.act_months / self.est_months < math.inf:
+            raise InputError("act_months / est_months overflows the float range")
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclass_fields(ProjectRecord))
@@ -229,7 +234,7 @@ def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
     return SummaryStats(
         n=n,
-        mean=float(math.fsum(ratios) / n),
+        mean=checked_fsum(ratios) / n,
         median=median,
         iqr=q75 - q25,
         quantiles=dict(zip(DEFAULT_QUANTILES, qs)),

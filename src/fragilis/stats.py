@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputeError, DegenerateSampleError, InputError, finite
+from .errors import ComputeError, DegenerateSampleError, InputError, checked_fsum, finite
 from .refclass import quantile
 
 KDE_GRID_POINTS = 512
@@ -290,13 +290,6 @@ def f_sf(f_value: float, df1: float, df2: float) -> float:
 # One-way ANOVA and trend test
 
 
-def _fsum(terms) -> float:
-    """math.fsum of finite values, with a sum or square past the float range
-    (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
-    return finite("a sum or square of the sample overflows the float range",
-                  lambda: math.fsum(terms))
-
-
 def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
     """Classical one-way ANOVA F across two or more groups.
 
@@ -315,11 +308,11 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
         raise InputError("total observations must exceed the number of groups")
     for g in groups:
         _finite(g)
-    grand = _fsum(_fsum(g) for g in groups) / total_n
-    means = [_fsum(g) / len(g) for g in groups]
-    ss_between = _fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
-    ss_within = _fsum(
-        _fsum((v - mu) ** 2 for v in g) for g, mu in zip(groups, means)
+    grand = checked_fsum(checked_fsum(g) for g in groups) / total_n
+    means = [checked_fsum(g) / len(g) for g in groups]
+    ss_between = checked_fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
+    ss_within = checked_fsum(
+        checked_fsum((v - mu) ** 2 for v in g) for g, mu in zip(groups, means)
     )
     df1, df2 = k - 1, total_n - k
     if ss_within == 0.0:
@@ -357,16 +350,16 @@ def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:
         raise InputError("trend test requires at least 3 points")
     _finite(x)
     _finite(y)
-    xbar = _fsum(x) / n
-    ybar = _fsum(y) / n
-    sxx = _fsum((xi - xbar) ** 2 for xi in x)
+    xbar = checked_fsum(x) / n
+    ybar = checked_fsum(y) / n
+    sxx = checked_fsum((xi - xbar) ** 2 for xi in x)
     if sxx == 0.0:
         raise InputError("all x values are equal; trend undefined")
-    sxy = _fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
-    syy = _fsum((yi - ybar) ** 2 for yi in y)
+    sxy = checked_fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    syy = checked_fsum((yi - ybar) ** 2 for yi in y)
     slope = sxy / sxx
     intercept = ybar - slope * xbar
-    rss = _fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
+    rss = checked_fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
     if syy == 0.0:  # constant response
         return TrendResult(0.0, 1.0, "exact", n, 0.0, ybar, 0.0)
     r2 = 1.0 - rss / syy

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +70,21 @@ def test_appraise_svg_without_gain_plots_only_pain(tmp_path):
     assert read_json(out / "appraisal.json")["bcr"] == 0
     svg = (out / "payoff.svg").read_text()
     assert svg.count("<polyline") == 1 and "cumulative pain" in svg and "cumulative gain" not in svg
+
+
+@pytest.mark.parametrize("capex", ["5e-324", "1e-300"])
+def test_appraise_svg_of_a_tiny_model_has_distinct_ticks(tmp_path, capex):
+    # 5e-324 once made the tick step underflow to 0 (a ValueError from log10);
+    # 1e-300 once put all six y ticks at 0
+    model = tmp_path / "model.json"
+    model.write_text('{"discount_rate": 0.05, "capex": [{"t": 0, "amount": %s}], '
+                     '"benefits": [{"t": 1, "amount": 0}]}' % capex)
+    out = tmp_path / "o"
+    assert run(["appraise", str(model), "--format", "svg", "--out", str(out)]) == 0
+    svg = (out / "payoff.svg").read_text()
+    y_labels = re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]*)<',
+                          svg)
+    assert y_labels and len(set(y_labels)) == len(y_labels)
 
 
 def test_appraise_missing_model_is_validation_error(tmp_path):
@@ -308,7 +324,6 @@ _CALIBRATED = {**_DIST_DOC, "tail": {"calibrate_mean": 1.5}}
     {**_DIST_DOC, "tail": {"shape": "x", "scale": 0.3}},
     {**_DIST_DOC, "tail": {"shape": 0.2, "scale": "x"}},
     {**_DIST_DOC, "tail": {"calibrate_mean": "x"}},
-    {**_DIST_DOC, "mean_target": "x"},
     {**_DIST_DOC, "tail": 3},
     {**_DIST_DOC, "tail": None},
     {**_CALIBRATED, "anchors": []},
@@ -696,6 +711,42 @@ def test_overflowing_ratios_are_computation_errors(tmp_path, capsys, args, messa
     assert len(err.splitlines()) == 1 and err.startswith("computation error:") and message in err
 
 
+# four valid rows whose cost ratios (1e308 each) sum past the float range
+_OVERFLOWING_SUM_CSV = CSV_HEADER + "".join(
+    f"\nR{i},Dam,X,Asia,road,{1990 + i},1e-8,1e300,3,4,," for i in range(4)) + "\n"
+
+
+@pytest.mark.parametrize("group", [[], ["--group", "region"]])
+def test_stats_overflowing_sum_is_computation_error(tmp_path, capsys, group):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(_OVERFLOWING_SUM_CSV, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["stats", str(csv_path), *group, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("computation error:")
+    assert "overflows the float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, n_path", [
+    (["stats"], ("summary", "n")),
+    (["density"], ("n",)),
+    (["test", "--test", "trend"], ("result", "n")),
+])
+def test_lenient_commands_skip_a_row_whose_ratio_overflows(tmp_path, args, n_path):
+    rows = [f"R{i},Dam,X,Asia,road,{1980 + i},100,{r},3,4,,"
+            for i, r in enumerate((150, 120, 200, 110))]
+    rows.insert(2, "BIG,Dam,X,Asia,road,1990,1e-300,1e300,3,4,,")  # cost ratio inf
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run([args[0], str(csv_path), *args[1:], "--out", str(out)]) == 0
+    doc = read_json(out / f"{args[0]}.json")
+    for key in n_path:
+        doc = doc[key]
+    assert doc == 4
+
+
 def test_test_bias_without_underruns_is_computation_error(tmp_path):
     csv_path = tmp_path / "over.csv"
     csv_path.write_text(
@@ -1007,7 +1058,8 @@ _STRESS = ["--trials", "200", "--seed", "1"]
 # mutated copy; "{}" stands for its path, and every command writes to ./out)
 _FUZZ_TARGETS = {
     "model.json": (Path(STYLIZED).read_bytes(), (
-        ["appraise", "{}"], ["stress", "{}", "--dist", "big-dam"] + _STRESS,
+        ["appraise", "{}"], ["appraise", "{}", "--format", "svg"],
+        ["stress", "{}", "--dist", "big-dam"] + _STRESS,
         ["grid", "{}"], ["contingency", "{}", "--dist", "big-dam"],
     )),
     "dist.json": (datasets.asset_path("big-dam.json").read_bytes(), (
@@ -1015,7 +1067,8 @@ _FUZZ_TARGETS = {
         ["contingency", STYLIZED, "--dist", "{}"],
     )),
     "records.csv": (Path(FIXTURE).read_bytes(), (
-        ["ingest", "{}"], ["stats", "{}", "--strict"], ["density", "{}"],
+        ["ingest", "{}"], ["stats", "{}", "--strict"], ["stats", "{}", "--group", "region"],
+        ["density", "{}"], ["density", "{}", "--format", "svg"],
         ["test", "{}", "--test", "decades"],
     )),
     "line.csv": (_PERFECT_TREND_CSV.encode(), (

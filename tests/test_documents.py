@@ -96,7 +96,6 @@ DIST = {
     "anchors": [{"p": 0.5, "x": 1.27}, {"p": 0.8, "x": 1.99}],
     "floor_x": 0.4,
     "tail": {"shape": 0.3, "scale": 0.5},
-    "mean_target": 1.6,
 }
 CALIBRATED_DIST = {**DIST, "tail": {"calibrate_mean": 1.6}}
 SHORTFALL_DIST = {"anchors": [{"p": 0.5, "x": 0.11}], "floor_x": 0.001,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fragilis.errors import InputError
+from fragilis.errors import ComputeError, InputError
 from fragilis.refclass import (
     ProjectRecord,
     ReferenceClass,
@@ -155,6 +155,15 @@ def test_summarize_and_group_stats_reject_non_finite_thresholds():
             summarize(ref, "cost", (1.4, bad))
         with pytest.raises(InputError, match="thresholds must be finite"):
             group_stats(ref, "region", "cost", (bad,))
+
+
+def test_summarize_overflowing_sum_is_compute_error():
+    # each cost ratio is a finite 1e308; their sum is not
+    ref = ReferenceClass(tuple(make_record(i, est_cost=1e-8, act_cost=1e300) for i in range(4)))
+    with pytest.raises(ComputeError, match="overflows the float range"):
+        summarize(ref, "cost")
+    with pytest.raises(ComputeError, match="overflows the float range"):
+        group_stats(ref, "region", "cost")
 
 
 def test_summarize_permutation_invariant():
@@ -438,6 +447,25 @@ def test_csv_non_finite_benefits_rejected():
     assert "est_benefit must be a finite number, got nan" in result.errors[0].message
     assert "act_benefit must be a finite number, got inf" in result.errors[1].message
     with pytest.raises(InputError, match=r"row 2.*est_benefit must be a finite number"):
+        read_records_csv(io.StringIO(text), strict=True)
+
+
+def test_csv_overflowing_ratio_is_record_diagnostic():
+    text = (
+        CSV_HEADER
+        + "\nA,Dam,X,Asia,road,1990,1e-300,1e300,3,4,,"
+        + "\nB,Dam,X,Asia,road,1990,1,2,1e-300,1e300,,"
+        + "\nC,Dam,X,Asia,road,1990,1e-300,1e300,3,4,nan,5"  # the benefit check comes first
+        + "\nD,Dam,X,Asia,road,1990,1e-8,1e300,3,4,,\n"  # a ratio of 1e308 is finite
+    )
+    result = read_records_csv(io.StringIO(text), strict=False)
+    assert [r.id for r in result.reference_class.records] == ["D"]
+    assert [(e.row, e.field, e.message) for e in result.errors] == [
+        (2, "(record)", "act_cost / est_cost overflows the float range"),
+        (3, "(record)", "act_months / est_months overflows the float range"),
+        (4, "(record)", "est_benefit must be a finite number, got nan"),
+    ]
+    with pytest.raises(InputError, match=r"row 2.*act_cost / est_cost overflows"):
         read_records_csv(io.StringIO(text), strict=True)
 
 
