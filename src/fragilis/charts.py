@@ -30,7 +30,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     out: list[float] = []
     t = math.ceil(lo / step) * step
     while t - hi <= 1e-12 * step:  # t - hi: hi + 1e-12 * step may overflow to inf
-        tick = round(t, max(0, 1 - e))
+        tick = round(t, max(0, 1 - e)) + 0.0  # + 0.0: a -0.0 tick would read "-0"
         if lo <= tick <= hi and (not out or tick != out[-1]):
             out.append(tick)
         t = max(t + step, math.nextafter(t, math.inf))  # a step below half an ulp of t
@@ -64,6 +64,8 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
     x_hi = _span(x_lo, max(max(xs) for _, xs, _ in series))
     y_lo = min(0.0, min(min(ys) for _, _, ys in series))
     y_hi = _span(y_lo, max(max(ys) for _, _, ys in series))
+    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
+        raise ValueError("an axis span exceeds the float range")
 
     def sx(v: float) -> float:
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)

@@ -22,14 +22,10 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, charts, datasets
+from . import __version__, charts
 from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
 from .errors import ComputeError, InputError, load_json
 from .refclass import ReferenceClass, group_ratios, group_stats, read_records_csv, summarize
-from .stats import kde, mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
-from .stress import StressConfig, run_stress, sensitivity_grid, size_contingency, worker_count
 
 _GROUP_KEY_MAP = {"region": "region", "type": "project_type", "decade": "decade"}
 _Run = tuple[list[Path], dict, str]  # what a command returns; see Commands below
@@ -50,9 +46,13 @@ def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
         "wall_s": wall_s,
         "peak_rss_mb": max_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10),
         "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        # null unless the command computed with numpy: importing it only to read its version
+        # would cost every command numpy's start-up
+        "numpy": sys.modules["numpy"].__version__ if "numpy" in sys.modules else None,
     }
     if hasattr(args, "trials"):
+        from .stress import worker_count
+
         run["trials_per_s"] = args.trials / wall_s
         run["workers"] = worker_count(args.trials)
     return {
@@ -128,6 +128,8 @@ def cmd_stats(args) -> _Run:
 
 
 def cmd_density(args) -> _Run:
+    from .stats import kde
+
     ref, path = _load_records(args)
     ratios = ref.ratios(args.metric)
     trace = kde(ratios, bandwidth=args.bandwidth)
@@ -153,6 +155,8 @@ def cmd_density(args) -> _Run:
 
 
 def cmd_test(args) -> _Run:
+    from .stats import mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
+
     ref, path = _load_records(args)
     if args.test == "bias":
         over, under = overrun_bias_samples(ref.ratios(args.metric))
@@ -199,6 +203,9 @@ def cmd_appraise(args) -> _Run:
 
 
 def cmd_stress(args) -> _Run:
+    from . import datasets
+    from .stress import StressConfig, run_stress
+
     model, path = _load_model(args)
     capex_dist = datasets.resolve_dist(args.dist)
     schedule_dist = datasets.resolve_dist(args.schedule_dist) if args.schedule_dist else None
@@ -242,6 +249,8 @@ def _parse_mults(raw: str, name: str) -> list[float]:
 
 
 def cmd_grid(args) -> _Run:
+    from .stress import sensitivity_grid
+
     model, path = _load_model(args)
     grid = sensitivity_grid(
         model,
@@ -253,6 +262,9 @@ def cmd_grid(args) -> _Run:
 
 
 def cmd_contingency(args) -> _Run:
+    from . import datasets
+    from .stress import size_contingency
+
     model, path = _load_model(args)
     dist = datasets.resolve_dist(args.dist)
     result = size_contingency(model, dist, args.coverage)

@@ -22,8 +22,6 @@ from dataclasses import asdict, astuple, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InputError, checked_fsum
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
@@ -175,10 +173,12 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise InputError(f"quantile level must be in [0, 1], got {p}")
+    import numpy as np  # loaded on first use, so ingest alone never pays for it
+
     return sorted_quantile(np.sort(np.asarray(values, dtype=float)), ps)
 
 
-def sorted_quantile(s: np.ndarray, ps: Sequence[float]) -> tuple[float, ...]:
+def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     """Type 7 quantiles of the sorted, non-empty array s at checked levels ps: with
     h = (n-1)p, each is s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]),
     written out so sort-based brute-force oracles can match bit for bit."""
@@ -229,6 +229,8 @@ def summarize(
 def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
+    import numpy as np
+
     n = len(ratios)
     arr = np.asarray(ratios, dtype=float)
     median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))

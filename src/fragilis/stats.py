@@ -14,8 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ComputeError, DegenerateSampleError, InputError, checked_fsum, finite
 from .refclass import quantile
 
@@ -23,6 +21,7 @@ KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
 _KDE_BLOCK_ROWS = 32  # grid rows per pass over the sample; divides KDE_GRID_POINTS
 EXACT_U_LIMIT = 31  # exact U test when n + m <= this: <= 5 ms at the worst split
+_NON_FINITE = "sample contains non-finite values"
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +42,14 @@ class DensityTrace:
         return "\n".join(lines) + "\n"
 
 
-def _finite(sample: Sequence[float]) -> np.ndarray:
+def _finite(sample: Sequence[float]):
+    """sample as a float array, checked finite. numpy loads here, on first use:
+    the U, F and trend tests never need it."""
+    import numpy as np
+
     data = np.asarray(sample, dtype=float)
     if not np.all(np.isfinite(data)):
-        raise InputError("sample contains non-finite values")
+        raise InputError(_NON_FINITE)
     return data
 
 
@@ -54,6 +57,8 @@ def silverman_bandwidth(sample: Sequence[float]) -> float:
     """0.9 * min(sd, IQR/1.34) * n**-0.2, with the usual fallback to sd when
     the IQR is degenerate. Zero for a zero-variance sample; a ComputeError
     when a squared deviation overflows, since the rule then has no scale."""
+    import numpy as np
+
     data = _finite(sample)
     n = len(data)
     if n < 2:
@@ -82,6 +87,8 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     """
     if len(sample) < 1:
         raise InputError("kde requires at least one observation")
+    import numpy as np
+
     data = _finite(sample)
     h = silverman_bandwidth(data) if bandwidth is None else float(bandwidth)
     if not h > 0:
@@ -306,8 +313,8 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
     total_n = sum(sizes)
     if total_n <= k:
         raise InputError("total observations must exceed the number of groups")
-    for g in groups:
-        _finite(g)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(groups))):
+        raise InputError(_NON_FINITE)
     grand = checked_fsum(checked_fsum(g) for g in groups) / total_n
     means = [checked_fsum(g) / len(g) for g in groups]
     ss_between = checked_fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
@@ -348,8 +355,8 @@ def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:
         raise InputError("x and y must have equal length")
     if n < 3:
         raise InputError("trend test requires at least 3 points")
-    _finite(x)
-    _finite(y)
+    if not all(map(math.isfinite, itertools.chain(x, y))):
+        raise InputError(_NON_FINITE)
     xbar = checked_fsum(x) / n
     ybar = checked_fsum(y) / n
     sxx = checked_fsum((xi - xbar) ** 2 for xi in x)

@@ -1,6 +1,8 @@
 import math
 import re
 
+import pytest
+
 from fragilis.charts import MARGIN_L, MARGIN_R, WIDTH, _ticks, line_chart
 from fragilis.stats import kde
 
@@ -65,3 +67,19 @@ def test_ticks_past_2_53_are_distinct_floats():
     ticks = _ticks(1e17, 1e17 + 16)
     assert ticks == [1e17, math.nextafter(1e17, math.inf)]
     assert all(type(t) is float for t in ticks)
+
+
+def test_a_tick_at_zero_reads_0_not_minus_0():
+    # round(-2.2e-16, 1) is -0.0, which :g prints as -0
+    ticks = _ticks(-0.6080463632260644, 0.42875404104918546)
+    assert ticks == [-0.6, -0.4, -0.2, 0.0, 0.2, 0.4]
+    assert math.copysign(1.0, ticks[3]) == 1.0
+    svg = line_chart([("a", [-0.6080463632260644, 0.42875404104918546], [0.0, 1.0])], "t", "x", "y")
+    assert [label for _, label in _tick_positions(svg, "x")] == ["-0.6", "-0.4", "-0.2", "0", "0.2", "0.4"]
+
+
+def test_an_axis_wider_than_the_float_range_is_a_value_error():
+    # 1e308 - (-1e308) is inf: no scale or tick exists for that axis
+    for xs, ys in (([0.0, 1.0], [-1e308, 1e308]), ([-1e308, 1e308], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="axis span exceeds the float range"):
+            line_chart([("a", xs, ys)], "t", "x", "y")

@@ -972,15 +972,88 @@ def test_every_json_artifact_names_the_file_its_command_read(tmp_path, monkeypat
         assert docs and all(read_json(p)["source"] == argv[1] for p in docs), argv
 
 
+def _fresh_python(code: str, *argv: str) -> str:
+    """stdout of `python -c code argv...` in a new process that loads this checkout's fragilis."""
+    src = Path(stress.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_thread_pool_unloaded():
     # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it;
     # fractions (with the decimal it loads) costs 3-4.5 ms, so payoff_curve sums in ints
-    src = Path(stress.__file__).parents[1]
     heavy = ("concurrent.futures", "fractions", "decimal")
     code = f"import sys, fragilis.cli; print([m for m in {heavy} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+# a command's exit code, then whether the process loaded numpy
+_CLI_LOADS_NUMPY = (
+    "import sys; from fragilis.cli import main; code = main(sys.argv[1:]); "
+    "print(code, 'numpy' in sys.modules)"
+)
+
+
+def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
+    # numpy is ~0.2 s of a command's ~0.3 s start-up, so only a command that computes
+    # with it loads it; density and stress do, so this test cannot pass vacuously
+    assert _fresh_python("import sys, fragilis; print('numpy' in sys.modules)") == "False"
+    out = ["--out", str(tmp_path)]
+    for argv, loads in (
+        (["ingest", FIXTURE], False),
+        (["test", FIXTURE, "--test", "bias"], False),
+        (["test", FIXTURE, "--test", "decades"], False),
+        (["test", FIXTURE, "--test", "trend"], False),
+        (["appraise", STYLIZED, "--format", "svg"], False),
+        (["density", FIXTURE], True),
+        (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True),
+        (["report"], False),
+    ):
+        last = _fresh_python(_CLI_LOADS_NUMPY, *argv, *out).splitlines()[-1]  # after the summary
+        assert last == f"0 {loads}", argv
+
+
+def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
+    out = ["--out", str(tmp_path)]
+    _fresh_python(_CLI_LOADS_NUMPY, "appraise", STYLIZED, *out)
+    _fresh_python(_CLI_LOADS_NUMPY, "stress", STYLIZED, "--dist", "big-dam", "--trials", "1000",
+                  "--seed", "1", *out)
+    assert read_json(tmp_path / "manifest-appraise.json")["run"]["numpy"] is None
+    assert read_json(tmp_path / "manifest-stress.json")["run"]["numpy"] == np.__version__
+
+
+# every public name of the package as it was when __init__ imported each module eagerly
+_PACKAGE_NAMES = {
+    "AppraisalModel", "AppraisalResult", "CalibrationError", "CashFlowStream",
+    "CompositionNode", "ComputeError", "ContingencyResult", "Cutoffs", "DegenerateSampleError",
+    "DensityTrace", "FragilisError", "FragilityProfile", "GeneralizedParetoTail", "InputError",
+    "PayoffCurve", "ProjectRecord", "QuantileDistribution", "ReferenceClass", "Region",
+    "SensitivityGrid", "StressConfig", "StressResult", "SummaryStats", "SystemGraph",
+    "TestResult", "TrendResult", "apply_stress", "appraise", "bcr", "break_even_delay",
+    "break_even_overrun", "build_quantile_dist", "classify_quadrant", "cost_overrun_ratio",
+    "debt_burden_share", "deflate", "discount_factor", "group_stats", "irr", "kde", "load_dist",
+    "load_model", "mann_whitney_u", "net_stream", "npv", "one_way_f", "p_break_analytic",
+    "payoff_curve", "read_records_csv", "run_stress", "schedule_slippage", "sensitivity_grid",
+    "size_contingency", "summarize", "system_threshold", "trend_f", "write_records_csv",
+}
+
+
+def test_lazy_package_resolves_every_public_name_to_its_module():
+    import fragilis
+
+    assert set(fragilis.__all__) == _PACKAGE_NAMES and len(fragilis.__all__) == len(_PACKAGE_NAMES)
+    for name in fragilis.__all__:
+        value = getattr(fragilis, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name not in vars(fragilis), name  # looked up on every access, never cached
+    assert set(fragilis.__all__) | {"__version__"} <= set(dir(fragilis))
+    star: dict = {}
+    exec("from fragilis import *", star)
+    assert {name: star[name] for name in fragilis.__all__} == {
+        name: getattr(fragilis, name) for name in fragilis.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fragilis.no_such_name
 
 
 def test_every_imported_name_is_used():
