@@ -18,11 +18,12 @@ import csv
 import enum
 import io
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, astuple, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, checked_fsum
+from .errors import InputError, checked_fsum, finite
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -150,32 +151,38 @@ def deflate(
     """Convert a nominal series to constant base-year prices.
 
     Each amount is scaled by index(base_year) / index(year). The price index
-    must cover the base year and every year in the series.
+    must cover the base year and every year in the series. A NaN or infinite
+    amount or level is an InputError; a result past the float range, a ComputeError.
     """
     levels = dict(index)
     for year, level in levels.items():
-        if not level > 0:
-            raise InputError(f"price index must be positive, got {level} for {year}")
+        if not (math.isfinite(level) and level > 0):
+            raise InputError(f"price index must be a positive number, got {level} for {year}")
     if base_year not in levels:
         raise InputError(f"price index missing base year {base_year}")
     out = []
     for year, amount in nominal:
         if year not in levels:
             raise InputError(f"price index missing year {year}")
-        out.append((year, amount * levels[base_year] / levels[year]))
+        if not math.isfinite(amount):
+            raise InputError(f"nominal amount must be a finite number, got {amount} for {year}")
+        out.append((year, finite(f"deflated amount for {year} overflows the float range",
+                                 lambda: amount * levels[base_year] / levels[year])))
     return out
 
 
 def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
-    """Type 7 quantiles at any levels ps in [0, 1], from one sort (see sorted_quantile)."""
+    """Type 7 quantiles of a finite sample at any levels ps in [0, 1], from one sorted()
+    (see sorted_quantile). A NaN would leave the sort without an order, so a NaN or an
+    infinite value is an InputError, as is an empty sample."""
     if len(values) == 0:
         raise InputError("quantile of an empty sample")
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise InputError(f"quantile level must be in [0, 1], got {p}")
-    import numpy as np  # loaded on first use, so ingest alone never pays for it
-
-    return sorted_quantile(np.sort(np.asarray(values, dtype=float)), ps)
+    if not all(map(math.isfinite, values)):
+        raise InputError("quantile of a sample with a NaN or infinite value")
+    return sorted_quantile(sorted(values), ps)
 
 
 def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
@@ -227,21 +234,19 @@ def summarize(
 
 
 def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
+    """Every figure from one sorted list: the quantiles by position, the shares by bisection."""
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
-    import numpy as np
-
-    n = len(ratios)
-    arr = np.asarray(ratios, dtype=float)
-    median, q25, q75, *qs = quantile(arr, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
+    n, s = len(ratios), sorted(ratios)
+    median, q25, q75, *qs = quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
     return SummaryStats(
         n=n,
         mean=checked_fsum(ratios) / n,
         median=median,
         iqr=q75 - q25,
         quantiles=dict(zip(DEFAULT_QUANTILES, qs)),
-        share_over_1=float(np.count_nonzero(arr > 1.0)) / n,
-        share_breaking={float(t): float(np.count_nonzero(arr >= t)) / n for t in thresholds},
+        share_over_1=(n - bisect_right(s, 1.0)) / n,
+        share_breaking={float(t): (n - bisect_left(s, t)) / n for t in thresholds},
     )
 
 
@@ -278,11 +283,16 @@ def group_stats(
 
 
 def debt_burden_share(debt_start: float, debt_end: float, project_cost: float) -> float:
-    """Project cost as a fraction of the debt-stock increase over its build."""
-    increase = debt_end - debt_start
+    """Project cost as a fraction of the debt-stock increase over its build. A NaN or
+    infinite input is an InputError; a figure past the float range, a ComputeError."""
+    for label, value in (("debt_start", debt_start), ("debt_end", debt_end),
+                         ("project_cost", project_cost)):
+        if not math.isfinite(value):
+            raise InputError(f"{label} must be a finite number, got {value}")
+    increase = finite("debt increase overflows the float range", lambda: debt_end - debt_start)
     if increase <= 0:
         raise InputError(f"debt increase must be positive, got {increase}")
-    return project_cost / increase
+    return finite("debt burden share overflows the float range", lambda: project_cost / increase)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ComputeError, DegenerateSampleError, InputError, checked_fsum, finite
-from .refclass import quantile
+from .refclass import sorted_quantile
 
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
@@ -66,7 +66,7 @@ def silverman_bandwidth(sample: Sequence[float]) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         sd = finite("sample spread overflows the float range; pass an explicit bandwidth",
                     lambda: float(np.std(data, ddof=1)))
-    q25, q75 = quantile(data, (0.25, 0.75))
+    q25, q75 = sorted_quantile(np.sort(data), (0.25, 0.75))  # sorted() takes ~70x longer
     iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return 0.9 * spread * n ** (-0.2)

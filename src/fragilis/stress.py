@@ -56,8 +56,10 @@ workers: 37.5 MB capex only, 39.5 MB full shape, 41.5 MB with a shortfall
 distribution.)"""
 
 MAX_GRID_CELLS = 10_000
-"""Largest benefit x cost multiplier grid sensitivity_grid computes. Each
-cell's IRR scans 513 rates, about 1.3 ms, so the cap is about 13 s."""
+"""Largest benefit x cost multiplier grid sensitivity_grid computes. A cell's IRR
+scans up to 513 rates, then bisects; on the 31 cash flows of the bundled stylized
+dam a cell took 0.7-0.9 ms and a grid at the cap 8.6-9.4 s (2 CPUs, Python 3.11).
+The time grows with the model's cash flows, and a cell with no root scans all 513."""
 
 
 @dataclass(frozen=True, slots=True)

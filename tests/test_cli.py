@@ -1002,6 +1002,8 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
     out = ["--out", str(tmp_path)]
     for argv, loads in (
         (["ingest", FIXTURE], False),
+        (["stats", FIXTURE], False),
+        (["stats", FIXTURE, "--group", "region"], False),
         (["test", FIXTURE, "--test", "bias"], False),
         (["test", FIXTURE, "--test", "decades"], False),
         (["test", FIXTURE, "--test", "trend"], False),
@@ -1017,9 +1019,11 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
 def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
     out = ["--out", str(tmp_path)]
     _fresh_python(_CLI_LOADS_NUMPY, "appraise", STYLIZED, *out)
+    _fresh_python(_CLI_LOADS_NUMPY, "stats", FIXTURE, *out)
     _fresh_python(_CLI_LOADS_NUMPY, "stress", STYLIZED, "--dist", "big-dam", "--trials", "1000",
                   "--seed", "1", *out)
     assert read_json(tmp_path / "manifest-appraise.json")["run"]["numpy"] is None
+    assert read_json(tmp_path / "manifest-stats.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stress.json")["run"]["numpy"] == np.__version__
 
 
@@ -1070,6 +1074,29 @@ def test_every_imported_name_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def _numpy_imports(tree: ast.AST) -> set:
+    """The import statements under tree that load numpy or one of its submodules."""
+    def roots(node):
+        if isinstance(node, ast.Import):
+            return {alias.name.split(".")[0] for alias in node.names}
+        return {(node.module or "").split(".")[0]} if isinstance(node, ast.ImportFrom) else set()
+
+    return {node for node in ast.walk(tree) if "numpy" in roots(node)}
+
+
+def test_numpy_is_imported_only_where_it_computes():
+    # a module-level numpy import is ~0.2 s of start-up for every command that loads the
+    # module, so only the Monte Carlo modules have one, and only stats (the KDE and the
+    # Silverman quartiles) imports it inside the functions that need it
+    at_module_level, in_functions = {"_rng.py", "dists.py", "stress.py"}, {"stats.py"}
+    for path in sorted(Path(stress.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = set().union(*(_numpy_imports(f) for f in ast.walk(tree)
+                               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))))
+        assert path.name in at_module_level or not _numpy_imports(tree) - nested, path.name
+        assert path.name in in_functions or not nested, path.name
 
 
 def test_every_private_module_name_is_used():

@@ -123,6 +123,20 @@ def test_deflate_nonpositive_index_error():
         deflate([(1970, 10.0)], [(1970, 0.0)], 1970)
 
 
+def test_deflate_rejects_non_finite_inputs():
+    with pytest.raises(InputError, match="nominal amount must be a finite number"):
+        deflate([(2000, math.nan)], [(2000, 1.0)], 2000)
+    with pytest.raises(InputError, match="nominal amount must be a finite number"):
+        deflate([(2000, -math.inf)], [(2000, 1.0)], 2000)
+    with pytest.raises(InputError, match="price index must be a positive number"):  # not 0.0
+        deflate([(2000, 1.0)], [(2000, math.inf), (2001, 1e-300)], 2001)
+
+
+def test_deflate_overflow_is_compute_error():
+    with pytest.raises(ComputeError, match="deflated amount for 2000 overflows"):
+        deflate([(2000, 1e300)], [(2000, 1e-10), (2001, 1e10)], 2001)
+
+
 # ---------------------------------------------------------------------------
 # summarize
 
@@ -201,6 +215,14 @@ def test_quantile_rejects_levels_outside_unit_interval():
         quantile([1.0, 2.0], (0.5, 1.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quantile_rejects_non_finite_values(bad):
+    # a NaN leaves sorted() without an order, so the answer would depend on the input order
+    for values in ([bad, 1.0, 2.0], [1.0, 2.0, bad], np.array([1.0, bad])):
+        with pytest.raises(InputError, match="NaN or infinite value"):
+            quantile(values, (0.0, 0.5, 1.0))
+
+
 def test_quantile_close_to_numpy():
     rng = np.random.default_rng(14)
     values = list(rng.uniform(0.3, 4.0, size=33))
@@ -221,6 +243,33 @@ def test_summarize_matches_brute_force():
         assert stats.iqr == quantile_oracle(ratios, 0.75) - quantile_oracle(ratios, 0.25)
         for p, value in stats.quantiles.items():
             assert value == quantile_oracle(ratios, p)
+
+
+def test_summary_shares_on_ties_match_brute_force():
+    # ratios exactly at 1 and at each threshold, repeated: share_over_1 counts ratios
+    # strictly above 1 and share_breaking those at or above a threshold, so a bisection
+    # off by one side of a run of ties shows here
+    north = [0.7, 1.0, 1.0, 1.0, 1.2, 1.4, 1.4, 1.7, 2.0, 2.0, 2.0, 2.5]
+    asia = [1.0, 1.4, 1.4, 1.4, 2.0, 2.0, 0.9]
+    records = [make_record(i, act_cost=100.0 * r, region=Region.NORTH_AMERICA)
+               for i, r in enumerate(north)]
+    records += [make_record(100 + i, act_cost=100.0 * r, region=Region.ASIA)
+                for i, r in enumerate(asia)]
+    ref = ReferenceClass(tuple(records))
+    taus = (0.5, 1.0, 1.4, 2.0, 2.5, 3.0)
+    cases = [(summarize(ref, "cost", taus), ref.records)]
+    groups = group_stats(ref, "region", "cost", taus)
+    cases += [(groups[g.value], [r for r in ref.records if r.region is g])
+              for g in (Region.NORTH_AMERICA, Region.ASIA)]
+    for stats, group in cases:
+        ratios = [cost_overrun_ratio(r) for r in group]
+        assert {1.0, 1.4, 2.0} <= set(ratios)  # the ties are exact
+        n = len(ratios)
+        assert stats.share_over_1 == sum(r > 1.0 for r in ratios) / n
+        assert stats.share_breaking == {t: sum(r >= t for r in ratios) / n for t in taus}
+        assert stats.median == quantile_oracle(ratios, 0.5)
+        assert stats.iqr == quantile_oracle(ratios, 0.75) - quantile_oracle(ratios, 0.25)
+        assert stats.quantiles == {p: quantile_oracle(ratios, p) for p in stats.quantiles}
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +394,19 @@ def test_debt_burden_share_full_increase():
 def test_debt_burden_share_domain_error():
     with pytest.raises(InputError):
         debt_burden_share(100.0, 100.0, 50.0)
+
+
+def test_debt_burden_share_rejects_non_finite_inputs():
+    for args in ((math.nan, 1.0, 5.0), (0.0, math.inf, 5.0), (0.0, 1.0, -math.inf)):
+        with pytest.raises(InputError, match="must be a finite number"):
+            debt_burden_share(*args)
+
+
+def test_debt_burden_share_overflow_is_compute_error():
+    with pytest.raises(ComputeError, match="debt increase overflows"):  # not a share of 0.0
+        debt_burden_share(-1e308, 1e308, 1.0)
+    with pytest.raises(ComputeError, match="debt burden share overflows"):
+        debt_burden_share(0.0, 1e-300, 1e300)
 
 
 # ---------------------------------------------------------------------------
