@@ -8,9 +8,10 @@ AppraisalModel computes its three present values B (benefits), C (capex)
 and O (O&M) once, at construction. npv, bcr and both break-evens are each
 one formula over them, as are the stressed figures in stress.py. Only irr
 (at each rate it tries) and payoff_curve (entry by entry) discount again.
-Every present value and every ratio over them goes through errors.finite:
-a sum that overflows, a divisor of 0 or a value outside the float range
-raises ComputeError rather than returning inf.
+A CashFlowStream checks its entry times when built, present_value checks the
+rate once a call, and discount_factor is a one-entry stream's present value.
+Every present value and every ratio over them goes through errors.finite: a
+sum past the float range or a divisor of 0 raises ComputeError, not inf.
 
 Conventions (documented, not configurable):
   * discrete annual compounding (1 + r) ** -t, fractional t allowed;
@@ -39,12 +40,8 @@ _UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
 
 
 def discount_factor(rate: float, t: float) -> float:
-    """(1 + rate) ** -t, the present value of one unit paid t years out."""
-    if not rate > -1.0:
-        raise InputError(f"discount rate must exceed -1, got {rate}")
-    if t < 0:
-        raise InputError(f"time must be >= 0, got {t}")
-    return (1.0 + rate) ** -t
+    """(1 + rate) ** -t, the present value of one unit paid t years out, as a one-entry stream."""
+    return CashFlowStream(((t, 1.0),)).present_value(rate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +79,13 @@ class CashFlowStream:
         return CashFlowStream(((0.0, 0.0),))
 
     def present_value(self, rate: float) -> float:
-        """Sum of discounted amounts. math.fsum keeps the result exact, so it
-        is independent of entry order. A term or sum past the float range
-        raises ComputeError."""
+        """Sum of amounts times (1 + rate) ** -t, exact by math.fsum, so independent of
+        entry order. A rate at or below -1 raises InputError (each entry time is >= 0 by
+        construction), and a term or sum past the float range, ComputeError."""
+        if not rate > -1.0:
+            raise InputError(f"discount rate must exceed -1, got {rate}")
         return finite(f"present value at rate {rate} overflows a float",
-                      lambda: math.fsum(a * discount_factor(rate, t) for t, a in self.entries))
+                      lambda: math.fsum(a * (1.0 + rate) ** -t for t, a in self.entries))
 
     def scaled(self, factor: float) -> "CashFlowStream":
         """Every amount times factor. One past the float range raises ComputeError."""
@@ -229,7 +228,7 @@ def payoff_curve(model: AppraisalModel) -> PayoffCurve:
     Zero amounts are not cash-flow events and are dropped."""
     def curve(entries):  # the discounted amounts, descending, and their running totals
         r = model.discount_rate
-        amounts = sorted((a * discount_factor(r, t) for t, a in entries if a != 0.0), reverse=True)
+        amounts = sorted((a * (1.0 + r) ** -t for t, a in entries if a != 0.0), reverse=True)
         # one exact running sum, rounded once per entry: each prefix's math.fsum
         units = (n * (_UNIT // d) for n, d in map(float.as_integer_ratio, amounts))
         return tuple(amounts), tuple(total / _UNIT for total in accumulate(units))

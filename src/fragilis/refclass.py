@@ -18,6 +18,7 @@ import csv
 import enum
 import io
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, astuple, dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -150,9 +151,12 @@ def deflate(
 ) -> list[tuple[int, float]]:
     """Convert a nominal series to constant base-year prices.
 
-    Each amount is scaled by index(base_year) / index(year). The price index
-    must cover the base year and every year in the series. A NaN or infinite
-    amount or level is an InputError; a result past the float range, a ComputeError.
+    Each amount is scaled by index(base_year) / index(year), as amount * base / level
+    where amount * base is 0 or a normal float, else as amount * (base / level), so a
+    product that leaves the normal range on the way does not overflow or lose bits.
+    The price index must cover the base year and every year in the series. A NaN or
+    infinite amount or level is an InputError; a result past the float range, a
+    ComputeError.
     """
     levels = dict(index)
     for year, level in levels.items():
@@ -160,14 +164,18 @@ def deflate(
             raise InputError(f"price index must be a positive number, got {level} for {year}")
     if base_year not in levels:
         raise InputError(f"price index missing base year {base_year}")
+    base = levels[base_year]
     out = []
     for year, amount in nominal:
         if year not in levels:
             raise InputError(f"price index missing year {year}")
         if not math.isfinite(amount):
             raise InputError(f"nominal amount must be a finite number, got {amount} for {year}")
+        scaled = amount * base
+        normal = amount == 0.0 or sys.float_info.min <= abs(scaled) < math.inf
         out.append((year, finite(f"deflated amount for {year} overflows the float range",
-                                 lambda: amount * levels[base_year] / levels[year])))
+                                 lambda: scaled / levels[year] if normal
+                                 else amount * (base / levels[year]))))
     return out
 
 

@@ -55,11 +55,15 @@ worker thread: 0.8 GB at this cap. (tracemalloc peaks at 4M trials on 2
 workers: 37.5 MB capex only, 39.5 MB full shape, 41.5 MB with a shortfall
 distribution.)"""
 
-MAX_GRID_CELLS = 10_000
-"""Largest benefit x cost multiplier grid sensitivity_grid computes. A cell's IRR
-scans up to 513 rates, then bisects; on the 31 cash flows of the bundled stylized
-dam a cell took 0.7-0.9 ms and a grid at the cap 8.6-9.4 s (2 CPUs, Python 3.11).
-The time grows with the model's cash flows, and a cell with no root scans all 513."""
+MAX_GRID_TERMS = 320_000
+"""Largest cells x cash-flow entries (over the three legs) sensitivity_grid computes,
+checked before any cell: a cell's IRR discounts every entry at each rate it tries, up
+to 513 scan rates and then bisection. A cell counts at least 32 entries, since each
+present value also has a fixed cost of about that many entries; so the stylized dam
+(32 entries) and every smaller model keep a cap of 10,000 cells, and a larger model
+costs less per entry. The worst case the cap admits is the dam with no root in any
+cell: every cell scans all 513 rates, 2.5-4.1 ms a cell; a 100 x 100 grid of them
+took 33 s (2 CPUs, Python 3.11)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +238,11 @@ def sensitivity_grid(
     cost_mults = tuple(float(k) for k in cost_mults)
     if not all(0.0 < m < math.inf for m in benefit_mults + cost_mults):  # NaN fails too
         raise InputError("grid multipliers must be positive and finite")
-    if (cells := len(benefit_mults) * len(cost_mults)) > MAX_GRID_CELLS:
-        raise InputError(f"grid has {cells} cells, more than the cap of {MAX_GRID_CELLS}")
+    legs = (model.benefits, model.capex, model.om_costs)
+    entries = max(32, sum(len(leg.entries) for leg in legs))  # see MAX_GRID_TERMS
+    if (terms := len(benefit_mults) * len(cost_mults) * entries) > MAX_GRID_TERMS:
+        raise InputError(f"grid has {terms} cells x cash-flow entries, more than the cap of "
+                         f"{MAX_GRID_TERMS}")
     # cell by cell in row order, IRR before BCR: the first figure that fails names the error
     rows = [[(irr(net_stream(model, k, b)), bcr(model, k, b)) for b in benefit_mults]
             for k in cost_mults]

@@ -3,8 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragilis.cashflow import (
+    IRR_BRACKET,
     AppraisalModel,
     CashFlowStream,
     apply_stress,
@@ -20,6 +23,7 @@ from fragilis.cashflow import (
     npv,
     payoff_curve,
 )
+from fragilis.datasets import build_stylized_model
 from fragilis.errors import ComputeError, InputError
 
 from conftest import random_model
@@ -55,6 +59,30 @@ def test_discount_factor_domain_error():
         discount_factor(-1.0, 1.0)
     with pytest.raises(InputError):
         discount_factor(-1.5, 1.0)
+
+
+def test_discount_factor_non_finite_time_is_input_error():
+    for rate, t in ((0.1, math.nan), (0.1, math.inf), (-0.5, math.inf), (0.1, -math.inf)):
+        with pytest.raises(InputError, match="non-finite cash flow entry"):
+            discount_factor(rate, t)
+
+
+def test_discount_factor_overflow_is_compute_error():
+    with pytest.raises(ComputeError, match="overflows a float"):
+        discount_factor(-0.99, 200.0)
+
+
+def test_discount_factor_reports_a_bad_time_before_a_bad_rate():
+    with pytest.raises(InputError, match="time must be >= 0"):
+        discount_factor(-2.0, -1.0)
+    with pytest.raises(InputError, match="discount rate must exceed -1"):
+        discount_factor(-2.0, 1.0)
+
+
+def test_discount_factor_is_the_power_bit_for_bit():
+    for rate in (-0.99, -0.5, -1e-9, 0.0, 0.03, 0.07, 0.1, 1.0, 10.0):
+        for t in (0.0, 0.25, 1.0, 7.5, 30.0, 100.0):
+            assert discount_factor(rate, t) == (1.0 + rate) ** -t
 
 
 def test_discount_factor_decreasing_in_t():
@@ -118,7 +146,7 @@ def test_stream_rejects_unsorted_and_negative_time():
 
 
 def test_present_value_bad_rate_is_input_error():
-    # the discount factor's InputError passes through the overflow check unchanged
+    # checked once a call, before the overflow check: not a ComputeError
     with pytest.raises(InputError):
         CashFlowStream(((1.0, 1.0),)).present_value(-1.0)
 
@@ -127,6 +155,100 @@ def test_present_value_inf_minus_inf_is_compute_error():
     # at rate -0.5 both terms overflow, to inf and -inf; fsum raises ValueError on them
     with pytest.raises(ComputeError, match="overflows a float"):
         CashFlowStream(((1.0, 1e308), (1.0, -1e308))).present_value(-0.5)
+
+
+# ---------------------------------------------------------------------------
+# present value and irr against literal per-entry oracles
+
+
+def pv_oracle(entries, rate):
+    """Present value in the per-entry form: one discount factor per entry, each checking
+    the rate and the time, summed by math.fsum. None where the value leaves the float range."""
+    def factor(t):
+        if not rate > -1.0:
+            raise InputError(f"discount rate must exceed -1, got {rate}")
+        if t < 0:
+            raise InputError(f"time must be >= 0, got {t}")
+        return (1.0 + rate) ** -t
+    try:
+        total = math.fsum(a * factor(t) for t, a in entries)
+    except (OverflowError, ValueError):
+        return None
+    return total if math.isfinite(total) else None
+
+
+def pv_or_none(stream, rate):
+    try:
+        return stream.present_value(rate)
+    except ComputeError:
+        return None
+
+
+def irr_oracle(entries):
+    """irr's scan of 513 rates and its bisection, written out over pv_oracle."""
+    lo, hi = IRR_BRACKET
+    step = (hi - lo) / 512
+    a, fa = lo, None
+    for i in range(513):
+        b = lo + i * step
+        fb = pv_oracle(entries, b)
+        if fb is None:
+            continue
+        if fb == 0.0:
+            return b
+        if fa is not None and (fa < 0.0) != (fb < 0.0):
+            while b - a > 1e-12:
+                mid = 0.5 * (a + b)
+                fm = pv_oracle(entries, mid)
+                if fm == 0.0:
+                    return mid
+                if (fa < 0.0) != (fm < 0.0):
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            return 0.5 * (a + b)
+        a, fa = b, fb
+    return None
+
+
+SCAN_RATES = [IRR_BRACKET[0] + i * ((IRR_BRACKET[1] - IRR_BRACKET[0]) / 512) for i in range(513)]
+
+# the stylized dam's net stream as is and under multipliers, no-root cells included
+DAM_CELLS = [(1.0, 1.0), (1.3, 0.8), (0.7, 1.2), (0.001, 1000.0), (1000.0, 0.001), (2.0, 0.5)]
+
+_streams = st.lists(
+    st.tuples(st.floats(0.0, 200.0), st.floats(-1e6, 1e6, allow_subnormal=False)),
+    min_size=1, max_size=8,
+).map(CashFlowStream.of)
+
+
+def test_present_value_matches_per_entry_oracle_on_the_dam_at_every_scan_rate():
+    model = build_stylized_model()
+    for k, b in DAM_CELLS:
+        stream = net_stream(model, k, b)
+        for rate in SCAN_RATES:
+            assert pv_or_none(stream, rate) == pv_oracle(stream.entries, rate), (k, b, rate)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_streams)
+def test_present_value_matches_per_entry_oracle_at_every_scan_rate(stream):
+    for rate in SCAN_RATES:
+        assert pv_or_none(stream, rate) == pv_oracle(stream.entries, rate), rate
+
+
+def test_irr_matches_the_literal_scan_and_bisect_on_the_dam():
+    model = build_stylized_model()
+    for k, b in DAM_CELLS:
+        stream = net_stream(model, k, b)
+        assert irr(stream) == irr_oracle(stream.entries), (k, b)
+    assert irr(net_stream(model, 0.001, 1000.0)) is None
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_streams)
+def test_irr_matches_the_literal_scan_and_bisect(stream):
+    assert irr(stream) == irr_oracle(stream.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -819,7 +819,7 @@ def test_grid_over_the_cell_cap_is_validation_error(tmp_path, capsys):
     rc = run(["grid", STYLIZED, "--benefit-mults", benefit_mults, "--cost-mults", cost_mults,
               "--out", str(out)])
     assert rc == 2
-    assert f"cap of {stress.MAX_GRID_CELLS}" in capsys.readouterr().err
+    assert f"cap of {stress.MAX_GRID_TERMS}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -137,6 +137,28 @@ def test_deflate_overflow_is_compute_error():
         deflate([(2000, 1e300)], [(2000, 1e-10), (2001, 1e10)], 2001)
 
 
+def test_deflate_divides_first_where_the_product_leaves_the_normal_range():
+    # amount * base overflows here, and underflows to 0 in the second case; the deflated
+    # values are finite and normal
+    assert deflate([(2000, 1e300)], [(2000, 1e10), (2001, 1e10)], 2001) == [(2000, 1e300)]
+    assert deflate([(2000, 1e-300)], [(2000, 1e-100), (2001, 1e-100)], 2001) == [(2000, 1e-300)]
+    assert deflate([(2000, -1e300)], [(2000, 1e10), (2001, 1e10)], 2001) == [(2000, -1e300)]
+
+
+def test_deflate_keeps_the_left_to_right_product_where_it_is_normal():
+    # the same bits as amount * base / level wherever amount * base is normal or 0
+    rng = np.random.default_rng(11)
+    amounts = [0.0, -0.0, *(float(a) for a in 10.0 ** rng.uniform(-150, 150, 200))]
+    levels = [(1990 + i, float(v)) for i, v in enumerate(10.0 ** rng.uniform(-150, 150, 20))]
+    base_year, base = levels[7]
+    nominal = [(1990 + i % 20, a) for i, a in enumerate(amounts)]
+    out = deflate(nominal, levels, base_year)
+    by_year = dict(levels)
+    for (year, a), (_, got) in zip(nominal, out):
+        expected = a * base / by_year[year]
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected) and got == expected
+
+
 # ---------------------------------------------------------------------------
 # summarize
 

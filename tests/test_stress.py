@@ -27,7 +27,7 @@ from fragilis.errors import ComputeError, InputError
 from fragilis.stress import (
     CAPEX_TAG,
     DEFAULT_NPV_QUANTILES,
-    MAX_GRID_CELLS,
+    MAX_GRID_TERMS,
     MAX_TRIALS,
     SCHEDULE_TAG,
     SHORTFALL_TAG,
@@ -513,11 +513,29 @@ def test_grid_validation():
 
 def test_grid_caps_cells_before_computing_any():
     model = build_stylized_model()
-    mults = [1.0 + i / 1000 for i in range(MAX_GRID_CELLS // 100 + 1)]
+    mults = [1.0 + i / 1000 for i in range(101)]
     started = time.perf_counter()
-    with pytest.raises(InputError, match=f"cap of {MAX_GRID_CELLS}"):
+    with pytest.raises(InputError, match=f"cap of {MAX_GRID_TERMS}"):
         sensitivity_grid(model, mults, [1.0] * 100)  # 10,001 cells
     assert time.perf_counter() - started < 0.5
+
+
+def test_grid_caps_cells_times_entries_before_computing_any():
+    # 100 cells of 3,201 entries (1 capex, 3,199 benefits, the zero O&M) is 320,100 terms
+    model = AppraisalModel(capex=CashFlowStream.of([(0.0, 1e6)]),
+                           benefits=CashFlowStream.of((1.0 + i / 100, 1.0) for i in range(3199)),
+                           discount_rate=0.05)
+    dam = build_stylized_model()  # 32 entries: the cap stays at 10,000 cells for it
+    assert 10_000 * sum(len(leg.entries) for leg in (dam.benefits, dam.capex, dam.om_costs)) \
+        == MAX_GRID_TERMS
+    mults = [1.0 + i / 1000 for i in range(10)]
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=f"320100 cells x .* the cap of {MAX_GRID_TERMS}"):
+        sensitivity_grid(model, mults, mults)
+    assert time.perf_counter() - started < 0.5
+    # a model under 32 entries counts 32 a cell: it keeps the 10,000-cell cap
+    with pytest.raises(InputError, match=f"323200 cells x cash-flow entries"):
+        sensitivity_grid(bcr_model(1.4), [1.0] * 101, [1.0] * 100)
 
 
 # ---------------------------------------------------------------------------
