@@ -6,7 +6,7 @@ distributions with Monte Carlo stress testing, and fragility classification
 for composed systems. The `fragilis` CLI fronts the same operations.
 
 The package is lazy (PEP 562): each public name imports its module on first
-use, so a process loads numpy only if it touches a module that computes with
+use, so a process loads numpy only if it calls a function that computes with
 it. Names are looked up on every access, never cached here, so fragilis.irr
 is always whatever fragilis.cashflow.irr is.
 """

@@ -10,8 +10,6 @@ full avalanche between adjacent trial indices.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment, odd
 
@@ -36,6 +34,8 @@ def uniforms(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
     Open interval on both ends: values are ((z >> 11) + 0.5) * 2**-53, so
     they are always strictly inside (0, 1) and safe to feed to an inverse CDF.
     """
+    import numpy as np
+
     if stop < start:
         raise ValueError("stop must be >= start")
     base = _stream_base(seed, tag)

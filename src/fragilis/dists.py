@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CalibrationError, InputError, load_json
 
 MAX_TAIL_SHAPE = 0.99  # calibrated shapes live in (0, 0.99); >= 1 means infinite mean
@@ -58,6 +56,8 @@ class GeneralizedParetoTail:
 
     def quantile_excess(self, q: np.ndarray) -> np.ndarray:
         """Excess over the threshold at each tail level q in [0, 1)."""
+        import numpy as np
+
         if self.shape == 0.0:
             return -self.scale * np.log1p(-q)
         return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
@@ -111,10 +111,12 @@ class QuantileDistribution:
 
     def quantile(self, p: float) -> float:
         """Inverse CDF at p in (0, 1); anchors are returned exactly."""
-        return float(self.quantile_array(np.asarray([p], dtype=float))[0])
+        return float(self.quantile_array([p])[0])
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         """Inverse CDF at every level of p, any shape; anchors are returned exactly."""
+        import numpy as np
+
         shape = np.shape(p)
         p = np.asarray(p, dtype=float).reshape(-1)
         if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails the check too

@@ -65,7 +65,7 @@ def load_json(path: str | Path, what: str) -> Any:
     """The JSON document in the file at path. Bad JSON or UTF-8, nesting too
     deep, or the NaN, Infinity and -Infinity that RFC 8259 has no place for
     raise InputError naming the document as `what` and the path."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
         except (ValueError, RecursionError) as exc:

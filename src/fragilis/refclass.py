@@ -416,7 +416,7 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
     row-numbered diagnostics.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             try:
                 return read_records_csv(fh, label=label or Path(source).stem, strict=strict)
             except UnicodeDecodeError as exc:

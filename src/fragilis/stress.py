@@ -30,8 +30,6 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _rng
 from .cashflow import AppraisalModel, bcr, irr, net_stream
 from .dists import QuantileDistribution
@@ -133,6 +131,7 @@ def _trial_arrays(
 ) -> np.ndarray:
     """NPVs of trial indices [start, stop), via the PV factorization of the
     model's unstressed present values (B, C, O)."""
+    import numpy as np
 
     def draw(dist: QuantileDistribution, tag: int) -> np.ndarray:
         return dist.sample_array(_rng.uniforms(config.seed, tag, start, stop))
@@ -172,6 +171,8 @@ def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     non-finite and raises ComputeError.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~5 ms; kept out of `import fragilis`
+
+    import numpy as np
 
     n = config.n_trials
     npvs = np.empty(n)

@@ -834,6 +834,22 @@ def test_contingency_command(tmp_path):
     assert doc["decision"] == "do-not-proceed"
 
 
+def test_model_and_distribution_files_with_a_byte_order_mark_read_as_without(tmp_path):
+    # a UTF-8 byte-order mark, as some Windows editors write, is not part of the document
+    artifacts = {}
+    for side, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        inputs, out = tmp_path / side, str(tmp_path / side / "out")
+        inputs.mkdir()
+        for name in ("stylized-dam.json", "big-dam.json"):
+            (inputs / name).write_bytes(mark + datasets.asset_path(name).read_bytes())
+        model, dist = str(inputs / "stylized-dam.json"), str(inputs / "big-dam.json")
+        assert run(["appraise", model, "--out", out]) == 0
+        assert run(["contingency", model, "--dist", dist, "--out", out]) == 0
+        artifacts[side] = [(inputs / "out" / name).read_text(encoding="utf-8")
+                           .replace(str(inputs), "") for name in ("appraisal.json", "contingency.json")]
+    assert artifacts["marked"] == artifacts["plain"]
+
+
 def test_report_embeds_exact_artifact_numbers(tmp_path):
     out = tmp_path / "o"
     assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
@@ -997,8 +1013,9 @@ _CLI_LOADS_NUMPY = (
 
 def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
     # numpy is ~0.2 s of a command's ~0.3 s start-up, so only a command that computes
-    # with it loads it; density and stress do, so this test cannot pass vacuously
-    assert _fresh_python("import sys, fragilis; print('numpy' in sys.modules)") == "False"
+    # with it loads it; density, stress and contingency do, so this test cannot pass vacuously
+    code = "import sys, fragilis, fragilis.stress, fragilis.datasets; print('numpy' in sys.modules)"
+    assert _fresh_python(code) == "False"
     out = ["--out", str(tmp_path)]
     for argv, loads in (
         (["ingest", FIXTURE], False),
@@ -1010,10 +1027,13 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
         (["appraise", STYLIZED, "--format", "svg"], False),
         (["density", FIXTURE], True),
         (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True),
+        (["grid", STYLIZED], False),
+        (["contingency", STYLIZED, "--dist", "big-dam"], True),
         (["report"], False),
     ):
         last = _fresh_python(_CLI_LOADS_NUMPY, *argv, *out).splitlines()[-1]  # after the summary
         assert last == f"0 {loads}", argv
+    assert read_json(tmp_path / "manifest-grid.json")["run"]["numpy"] is None
 
 
 def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
@@ -1088,15 +1108,15 @@ def _numpy_imports(tree: ast.AST) -> set:
 
 def test_numpy_is_imported_only_where_it_computes():
     # a module-level numpy import is ~0.2 s of start-up for every command that loads the
-    # module, so only the Monte Carlo modules have one, and only stats (the KDE and the
-    # Silverman quartiles) imports it inside the functions that need it
-    at_module_level, in_functions = {"_rng.py", "dists.py", "stress.py"}, {"stats.py"}
+    # module, so no module has one: numpy is imported inside the functions that compute
+    # with it, and only the draws, the inverse CDF, the stress trials and stats have any
+    computes_with_numpy = {"_rng.py", "dists.py", "stats.py", "stress.py"}
     for path in sorted(Path(stress.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         nested = set().union(*(_numpy_imports(f) for f in ast.walk(tree)
                                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))))
-        assert path.name in at_module_level or not _numpy_imports(tree) - nested, path.name
-        assert path.name in in_functions or not nested, path.name
+        assert not _numpy_imports(tree) - nested, path.name
+        assert path.name in computes_with_numpy or not nested, path.name
 
 
 def test_every_private_module_name_is_used():

@@ -222,6 +222,9 @@ def test_quantile_array_bit_identical_to_oracle(name):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     for p, x in zip(dist.anchor_ps, dist.anchor_xs):
         assert dist.quantile(p) == x
+    for p in levels.tolist()[::37]:  # quantile is quantile_array at one level, bit for bit
+        got_one, expected_one = dist.quantile(p), float(dist.quantile_array(np.array([p]))[0])
+        assert type(got_one) is float and got_one.hex() == expected_one.hex(), p
     # any input shape, as before: a 2-D block and a 0-d level
     block = levels[:600].reshape(20, 30)
     assert np.array_equal(dist.quantile_array(block), _quantile_array_oracle(dist, block))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fragilis import datasets
 from fragilis.errors import ComputeError, InputError
 from fragilis.refclass import (
     ProjectRecord,
@@ -502,6 +503,28 @@ def test_csv_not_utf8_rejected(tmp_path):
     for strict in (True, False):
         with pytest.raises(InputError, match="not UTF-8"):
             read_records_csv(path, strict=strict)
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+    def read(path, strict):
+        try:
+            return read_records_csv(path, strict=strict)
+        except InputError as exc:
+            return str(exc)
+
+    lines = datasets.asset_path(datasets.SYNTHETIC_CSV).read_text(encoding="utf-8").splitlines(True)
+    with_bad_row = [*lines[:7], "X,Dam,X,Atlantis,road,1990,1,2,3,4,,\n", *lines[7:]]  # row 8
+    plain, marked = tmp_path / "plain" / "class.csv", tmp_path / "marked" / "class.csv"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    for body in ("".join(lines), "".join(with_bad_row)):
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        for strict in (True, False):
+            assert read(marked, strict) == read(plain, strict)
+    assert [error.row for error in read(marked, False).errors] == [8]
+    assert "row 8" in read(marked, True)
 
 
 def test_csv_bad_header_rejected():
