@@ -50,14 +50,13 @@ class CashFlowStream:
 
     Entries are (time in years from the decision date, amount) pairs, kept
     sorted by ascending time. Amounts may carry either sign at this level;
-    AppraisalModel restricts signs per stream role.
+    AppraisalModel restricts signs per stream role. A stream may be empty (a
+    leg with no cash flows); its present value is then 0.0.
     """
 
     entries: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise InputError("cash flow stream must have at least one entry")
         prev_t = -math.inf
         for t, amount in self.entries:
             if not (math.isfinite(t) and math.isfinite(amount)):
@@ -72,11 +71,6 @@ class CashFlowStream:
     def of(entries: Iterable[tuple[float, float]]) -> "CashFlowStream":
         """Build from any iterable, sorting by time."""
         return CashFlowStream(tuple(sorted((float(t), float(a)) for t, a in entries)))
-
-    @staticmethod
-    def zero() -> "CashFlowStream":
-        """Canonical all-zero stream, used for projects with no O&M."""
-        return CashFlowStream(((0.0, 0.0),))
 
     def present_value(self, rate: float) -> float:
         """Sum of amounts times (1 + rate) ** -t, exact by math.fsum, so independent of
@@ -123,7 +117,7 @@ class AppraisalModel:
     capex: CashFlowStream
     benefits: CashFlowStream
     discount_rate: float
-    om_costs: CashFlowStream = field(default_factory=CashFlowStream.zero)
+    om_costs: CashFlowStream = CashFlowStream(())
     base_year: int = 0
     pv_benefits: float = field(init=False, repr=False, compare=False)
     pv_capex: float = field(init=False, repr=False, compare=False)
@@ -369,8 +363,6 @@ def _stream_to_obj(stream: CashFlowStream) -> list[dict]:
 def _stream_from_obj(obj, name: str) -> CashFlowStream:
     if not isinstance(obj, list):
         raise InputError(f"stream {name!r} must be a list of {{t, amount}} objects")
-    if not obj:  # an empty array means "no cash flows on this leg"
-        return CashFlowStream.zero()
     entries = []
     for i, item in enumerate(obj):
         try:

@@ -135,7 +135,6 @@ def build_stylized_model() -> AppraisalModel:
         benefits=CashFlowStream.of(
             (float(t), amount) for t in range(1, STYLIZED_LIFE_YEARS + 1)
         ),
-        om_costs=CashFlowStream.zero(),
         discount_rate=STYLIZED_RATE,
         base_year=1981,
     )

@@ -195,17 +195,19 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
 
 def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     """Type 7 quantiles of the sorted, non-empty array s at checked levels ps: with
-    h = (n-1)p, each is s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]),
-    written out so sort-based brute-force oracles can match bit for bit."""
-    n = len(s)
-    if n == 1:
-        return tuple(float(s[0]) for _ in ps)
+    h = (n-1)p, each is s[h] where h is a whole number, and otherwise
+    s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]), written out so
+    sort-based brute-force oracles can match bit for bit. So p = 0 and p = 1 give the
+    minimum and maximum exactly."""
     out = []
     for p in ps:
-        h = (n - 1) * p
-        lo = min(int(math.floor(h)), n - 2)
-        a, b = float(s[lo]), float(s[lo + 1])
-        out.append(float(a + (h - lo) * (b - a)))
+        h = (len(s) - 1) * p
+        lo = math.floor(h)
+        if lo == h:
+            out.append(float(s[lo]))
+        else:
+            a, b = float(s[lo]), float(s[lo + 1])
+            out.append(a + (h - lo) * (b - a))
     return tuple(out)
 
 

@@ -58,10 +58,10 @@ MAX_GRID_TERMS = 320_000
 checked before any cell: a cell's IRR discounts every entry at each rate it tries, up
 to 513 scan rates and then bisection. A cell counts at least 32 entries, since each
 present value also has a fixed cost of about that many entries; so the stylized dam
-(32 entries) and every smaller model keep a cap of 10,000 cells, and a larger model
-costs less per entry. The worst case the cap admits is the dam with no root in any
-cell: every cell scans all 513 rates, 2.5-4.1 ms a cell; a 100 x 100 grid of them
-took 33 s (2 CPUs, Python 3.11)."""
+(31 entries: 30 benefits and 1 capex) and every smaller model keep a cap of 10,000
+cells, and a larger model costs less per entry. The worst case the cap admits is the
+dam with no root in any cell: every cell scans all 513 rates, 2.5-4.1 ms a cell; a
+100 x 100 grid of them took 33 s (2 CPUs, Python 3.11)."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,11 +27,7 @@ def random_model(rng: np.random.Generator, r_range=(0.0, 0.25), with_om=True) ->
         (rng.uniform(1.0, 30.0), rng.uniform(10.0, 200.0)) for _ in range(n_ben)
     )
     n_om = int(rng.integers(0, 4)) if with_om else 0
-    om = (
-        CashFlowStream.of((rng.uniform(1.0, 30.0), rng.uniform(0.0, 20.0)) for _ in range(n_om))
-        if n_om
-        else CashFlowStream.zero()
-    )
+    om = CashFlowStream.of((rng.uniform(1.0, 30.0), rng.uniform(0.0, 20.0)) for _ in range(n_om))
     return AppraisalModel(
         capex=capex,
         benefits=benefits,
@@ -48,11 +44,10 @@ def result_json(result: StressResult) -> str:
 def quantile_oracle(values, p):
     """Brute-force type 7 quantile of values at level p, from a sorted copy."""
     s = sorted(values)
-    n = len(s)
-    if n == 1:
-        return s[0]
-    h = (n - 1) * p
-    lo = min(int(math.floor(h)), n - 2)
+    h = (len(s) - 1) * p
+    lo = math.floor(h)
+    if lo == h:  # a whole position is its order statistic
+        return s[lo]
     return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
 
 

@@ -23,17 +23,18 @@ from fragilis.cashflow import (
     npv,
     payoff_curve,
 )
-from fragilis.datasets import build_stylized_model
+from fragilis.datasets import build_stylized_model, resolve_dist
 from fragilis.errors import ComputeError, InputError
+from fragilis.stress import StressConfig, run_stress, sensitivity_grid
 
-from conftest import random_model
+from conftest import random_model, result_json
 
 
 def simple_model(capex, benefits, rate, om=None):
     return AppraisalModel(
         capex=CashFlowStream.of(capex),
         benefits=CashFlowStream.of(benefits),
-        om_costs=CashFlowStream.of(om) if om else CashFlowStream.zero(),
+        om_costs=CashFlowStream.of(om or ()),
         discount_rate=rate,
     )
 
@@ -141,8 +142,7 @@ def test_stream_rejects_unsorted_and_negative_time():
         CashFlowStream(((2.0, 1.0), (1.0, 1.0)))
     with pytest.raises(InputError):
         CashFlowStream(((-1.0, 1.0),))
-    with pytest.raises(InputError):
-        CashFlowStream(())
+    assert CashFlowStream(()).present_value(0.1) == 0.0  # an empty leg is valid and worth 0
 
 
 def test_present_value_bad_rate_is_input_error():
@@ -438,7 +438,7 @@ def test_break_even_overrun_broken_regardless():
 
 def test_break_even_overrun_domain_error():
     m = AppraisalModel(
-        capex=CashFlowStream.zero(),
+        capex=CashFlowStream(()),
         benefits=CashFlowStream.of([(1, 10)]),
         om_costs=CashFlowStream.of([(0, 5)]),
         discount_rate=0.1,
@@ -665,4 +665,23 @@ def test_model_json_empty_om_means_zero():
         "benefits": [{"t": 1, "amount": 20}],
     }
     m = model_from_dict(doc)
-    assert m.om_costs == CashFlowStream.zero()
+    assert m.om_costs.entries == ()
+    assert m.pv_om == 0.0
+    # the stylized dam with "om": [] and with one zero O&M entry: every figure has the same
+    # bits (repr tells -0.0 from 0.0), across appraise, payoff_curve, a grid with no-root
+    # cells (cost x 0.001, benefit x 1000) and a seeded full-shape stress run
+    doc = model_to_dict(build_stylized_model())
+    assert doc["om"] == []
+    empty = model_from_dict(doc)
+    zero = model_from_dict({**doc, "om": [{"t": 0, "amount": 0}]})
+    assert len(zero.om_costs.entries) == 1
+    config = StressConfig(20_001, 3, resolve_dist("big-dam"), resolve_dist("big-dam-schedule"),
+                          8.6, 0.11)
+
+    def figures(model):
+        grid = sensitivity_grid(model, [1.0, 1000.0], [0.001, 1.0])
+        return (repr(appraise(model)), repr(appraise(model, 0.2)), repr(payoff_curve(model)),
+                repr(grid), result_json(run_stress(model, config)))
+
+    assert figures(empty) == figures(zero)
+    assert None in sensitivity_grid(empty, [1000.0], [0.001]).irr[0]

@@ -233,6 +233,15 @@ def test_quantile_matches_brute_force_exactly():
             assert quantile(values, (p,))[0] == quantile_oracle(values, p)
 
 
+def test_quantile_at_a_whole_position_is_its_order_statistic():
+    # interpolating at p = 1 from the last pair gave a + 1.0 * (b - a), an ulp above b
+    values = [1.4709773291105035, 3.5075719058394843, 1.4085805304907235, 1.1505615192943437]
+    assert quantile(values, (0.0, 1.0)) == (min(values), max(values))
+    # where b - a overflows, 0 * (b - a) was NaN and a + 1.0 * (b - a) inf
+    assert quantile([-1e308, 1e308], (0.0, 1.0)) == (-1e308, 1e308)
+    assert math.copysign(1.0, quantile([-0.0, 1.0], (0.0,))[0]) == -1.0  # a + 0.0 * 1.0 was 0.0
+
+
 def test_quantile_rejects_levels_outside_unit_interval():
     with pytest.raises(InputError, match="quantile level must be in"):
         quantile([1.0, 2.0], (0.5, 1.5))

@@ -521,13 +521,13 @@ def test_grid_caps_cells_before_computing_any():
 
 
 def test_grid_caps_cells_times_entries_before_computing_any():
-    # 100 cells of 3,201 entries (1 capex, 3,199 benefits, the zero O&M) is 320,100 terms
+    # 100 cells of 3,201 entries (1 capex, 3,200 benefits, no O&M) is 320,100 terms
     model = AppraisalModel(capex=CashFlowStream.of([(0.0, 1e6)]),
-                           benefits=CashFlowStream.of((1.0 + i / 100, 1.0) for i in range(3199)),
+                           benefits=CashFlowStream.of((1.0 + i / 100, 1.0) for i in range(3200)),
                            discount_rate=0.05)
-    dam = build_stylized_model()  # 32 entries: the cap stays at 10,000 cells for it
-    assert 10_000 * sum(len(leg.entries) for leg in (dam.benefits, dam.capex, dam.om_costs)) \
-        == MAX_GRID_TERMS
+    dam = build_stylized_model()  # 31 entries, counted as 32: the cap stays at 10,000 cells
+    assert sum(len(leg.entries) for leg in (dam.benefits, dam.capex, dam.om_costs)) == 31
+    assert 10_000 * 32 == MAX_GRID_TERMS
     mults = [1.0 + i / 1000 for i in range(10)]
     started = time.perf_counter()
     with pytest.raises(InputError, match=f"320100 cells x .* the cap of {MAX_GRID_TERMS}"):
