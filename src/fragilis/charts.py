@@ -56,8 +56,17 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _text(x, y, size: int, text: str, anchor: str = "", extra: str = "") -> str:
+    """One <text> element with its text escaped. The attributes come in a fixed order: x, y,
+    the text-anchor if any, the font's family and size, then extra (the y label's transform)."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{extra}>'
+            f"{_esc(text)}</text>")
+
+
 def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str) -> str:
-    """One or more line series on shared axes, as an SVG document string."""
+    """One or more line series on shared axes, as an SVG document string: the title, both
+    axes' tick labels, a legend entry per series and both axis labels, each written by _text."""
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("every series needs equal-length, non-empty x and y")
     x_lo = min(min(xs) for _, xs, _ in series)
@@ -78,8 +87,7 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14">{_esc(title)}</text>',
+        _text(WIDTH // 2, 18, 14, title, "middle"),
     ]
     x_ticks = _ticks(x_lo, x_hi)
     for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
@@ -88,10 +96,7 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{px:.2f}" '
             f'y2="{HEIGHT - MARGIN_B + 5}" stroke="{axis}"/>'
         )
-        parts.append(
-            f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_text(f"{px:.2f}", HEIGHT - MARGIN_B + 18, 11, label, "middle"))
     y_ticks = _ticks(y_lo, y_hi)
     for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = sy(tick)
@@ -99,10 +104,7 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
             f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" '
             f'stroke="{axis}"/>'
         )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_text(MARGIN_L - 8, f"{py + 4:.2f}", 11, label, "end"))
     parts.append(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="{axis}"/>'
@@ -117,17 +119,9 @@ def line_chart(series: Sequence[Series], title: str, x_label: str, y_label: str)
         lx = WIDTH - MARGIN_R - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">'
-            f"{_esc(label)}</text>"
-        )
-    parts.append(
-        f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{HEIGHT // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 14 {HEIGHT // 2})">{_esc(y_label)}</text>'
-    )
+        parts.append(_text(lx + 28, ly, 11, label))
+    parts.append(_text(WIDTH // 2, HEIGHT - 8, 12, x_label, "middle"))
+    parts.append(_text(14, HEIGHT // 2, 12, y_label, "middle",
+                       f' transform="rotate(-90 14 {HEIGHT // 2})"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -198,7 +198,8 @@ def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...
     h = (n-1)p, each is s[h] where h is a whole number, and otherwise
     s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]), written out so
     sort-based brute-force oracles can match bit for bit. So p = 0 and p = 1 give the
-    minimum and maximum exactly."""
+    minimum and maximum exactly. Where the difference of the two order statistics
+    overflows (-1e308 to 1e308, say), the same point is (1 - f) * a + f * b."""
     out = []
     for p in ps:
         h = (len(s) - 1) * p
@@ -206,8 +207,8 @@ def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...
         if lo == h:
             out.append(float(s[lo]))
         else:
-            a, b = float(s[lo]), float(s[lo + 1])
-            out.append(a + (h - lo) * (b - a))
+            a, b, f = float(s[lo]), float(s[lo + 1]), h - lo
+            out.append(a + f * (b - a) if b - a < math.inf else (1.0 - f) * a + f * b)
     return tuple(out)
 
 
@@ -382,31 +383,29 @@ def _ends_quoted(text: str, quoted: bool) -> bool:
     return quoted
 
 
-class _Rows:
-    """csv.reader's rows of a source, whose lines line_num counts. A row csv cannot split (a field
-    over csv.field_size_limit(), say) is a RowError; as csv resumes on the next line, a quoted field
-    the row left open is skipped up to the line that closes it."""
-
-    def __init__(self, source) -> None:
-        self.line_num, self._taken = 0, []  # the lines of the row being read
-        self._lines = self._count(source)
-        self._reader = csv.reader(self._lines)
-
-    def _count(self, source):
-        for self.line_num, line in enumerate(source, 1):
-            self._taken.append(line)
-            yield line
-
-    def next(self) -> list[str] | RowError | None:
-        self._taken.clear()
+def _rows(source):
+    """Each row of a source as (line number, csv.reader's fields), numbered by the last line
+    read: csv.reader's line_num plus the lines skipped below. A row csv cannot split (a field
+    over csv.field_size_limit(), say) comes as (line number, RowError); as csv resumes on the
+    next line, a quoted field the row left open is skipped up to the line that closes it, or
+    to the end if none does."""
+    lines, taken, skipped = iter(source), [], 0  # taken: the lines of the row being read
+    reader = csv.reader(taken.append(line) or line for line in lines)
+    while True:
+        taken.clear()
         try:
-            return next(self._reader, None)
+            fields = next(reader)
+        except StopIteration:
+            return
         except csv.Error as exc:
-            error = RowError(self.line_num, "(row)", str(exc))
-        quoted = _ends_quoted("".join(self._taken), False)
-        while quoted and next(self._lines, None) is not None:
-            quoted = _ends_quoted(self._taken.pop(), True)  # a quote never closed keeps no lines
-        return error
+            error = RowError(reader.line_num + skipped, "(row)", str(exc))
+            yield error.row, error
+            quoted = _ends_quoted("".join(taken), False)
+            while quoted and (line := next(lines, None)) is not None:
+                skipped += 1
+                quoted = _ends_quoted(line, True)
+        else:
+            yield reader.line_num + skipped, fields
 
 
 def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict: bool = True) -> IngestResult:
@@ -424,8 +423,8 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
             except UnicodeDecodeError as exc:
                 raise InputError(f"records file {source} is not UTF-8 text: {exc}") from None
 
-    rows = _Rows(source)
-    header = rows.next()
+    rows = _rows(source)
+    _, header = next(rows, (0, None))
     if header is None:
         raise InputError("CSV is empty: header row required")
     if isinstance(header, RowError):
@@ -438,15 +437,15 @@ def read_records_csv(source: str | Path | io.TextIOBase, label: str = "", strict
 
     records: dict[str, ProjectRecord] = {}
     errors: list[RowError] = []
-    while (fields := rows.next()) is not None:
+    for line, fields in rows:
         if not fields:  # csv.reader yields [] for a blank line
             continue
-        parsed = fields if isinstance(fields, RowError) else _parse_row(fields, rows.line_num)
+        parsed = fields if isinstance(fields, RowError) else _parse_row(fields, line)
         if isinstance(parsed, ProjectRecord):
             if parsed.id not in records:
                 records[parsed.id] = parsed
                 continue
-            parsed = RowError(rows.line_num, "id", f"duplicate record id {parsed.id!r}")
+            parsed = RowError(line, "id", f"duplicate record id {parsed.id!r}")
         if strict:
             raise InputError(str(parsed))
         errors.append(parsed)

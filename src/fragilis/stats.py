@@ -315,8 +315,9 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
         raise InputError("total observations must exceed the number of groups")
     if not all(map(math.isfinite, itertools.chain.from_iterable(groups))):
         raise InputError(_NON_FINITE)
-    grand = checked_fsum(checked_fsum(g) for g in groups) / total_n
-    means = [checked_fsum(g) / len(g) for g in groups]
+    sums = [checked_fsum(g) for g in groups]
+    grand = checked_fsum(sums) / total_n
+    means = [total / size for total, size in zip(sums, sizes)]
     ss_between = checked_fsum(len(g) * (mu - grand) ** 2 for g, mu in zip(groups, means))
     ss_within = checked_fsum(
         checked_fsum((v - mu) ** 2 for v in g) for g, mu in zip(groups, means)

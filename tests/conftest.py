@@ -48,7 +48,8 @@ def quantile_oracle(values, p):
     lo = math.floor(h)
     if lo == h:  # a whole position is its order statistic
         return s[lo]
-    return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+    a, b, f = s[lo], s[lo + 1], h - lo
+    return a + f * (b - a) if math.isfinite(b - a) else (1 - f) * a + f * b
 
 
 def u_pairwise(x, y):

@@ -242,6 +242,12 @@ def test_quantile_at_a_whole_position_is_its_order_statistic():
     assert math.copysign(1.0, quantile([-0.0, 1.0], (0.0,))[0]) == -1.0  # a + 0.0 * 1.0 was 0.0
 
 
+def test_quantile_between_order_statistics_whose_difference_overflows():
+    # a + f * (b - a) gave inf at every level: b - a is past the float range
+    assert quantile([-1e308, 1e308], (0.25, 0.5, 0.75)) == (-5e307, 0.0, 5e307)
+    assert quantile([-1e308, 0.0, 1e308], (0.25, 0.75)) == (-5e307, 5e307)  # b - a finite
+
+
 def test_quantile_rejects_levels_outside_unit_interval():
     with pytest.raises(InputError, match="quantile level must be in"):
         quantile([1.0, 2.0], (0.5, 1.5))
