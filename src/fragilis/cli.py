@@ -2,11 +2,12 @@
 
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
 report. Each command only loads and computes: it returns the input files it
-read, its artifacts and a one-line summary. main sets each JSON artifact's
-source to the first input, renders it with allow_nan=False (a non-finite
-number is a computation error) and only then creates --out and writes the
-artifacts and the run manifest (provenance and how the run went; see
-_manifest). A command that fails writes nothing.
+read, its artifacts and a one-line summary, and imports only the modules it
+computes with (report loads none of cashflow, refclass or charts). main sets
+each JSON artifact's source to the first input, renders it with
+allow_nan=False (a non-finite number is a computation error) and only then
+creates --out and writes the artifacts and the run manifest (provenance and
+how the run went; see _manifest). A command that fails writes nothing.
 Exit codes: 0 success, 2 validation error, 3 computation error.
 """
 
@@ -18,17 +19,30 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, charts
-from .cashflow import AppraisalModel, appraise, load_model, payoff_curve
+from . import __version__
 from .errors import ComputeError, InputError, load_json
-from .refclass import ReferenceClass, group_ratios, group_stats, read_records_csv, summarize
+
+if TYPE_CHECKING:  # annotations only: each command imports what it computes with
+    from .cashflow import AppraisalModel
+    from .refclass import ReferenceClass
 
 _GROUP_KEY_MAP = {"region": "region", "type": "project_type", "decade": "decade"}
 _Run = tuple[list[Path], dict, str]  # what a command returns; see Commands below
+
+
+def __getattr__(name: str):
+    """The package's public names, looked up on each access as on the package
+    (PEP 562), so cli.appraise is still fragilis.cashflow.appraise (perfbench's
+    tracer reads it there) though the commands import cashflow only to use it."""
+    import fragilis
+
+    if name in fragilis.__all__:
+        return getattr(fragilis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sha256(path: Path) -> str:
@@ -85,11 +99,15 @@ def _input_file(name: str, role: str) -> Path:
 
 
 def _load_records(args) -> tuple[ReferenceClass, Path]:
+    from .refclass import read_records_csv
+
     path = _input_file(args.records, "records")
     return read_records_csv(path, strict=args.strict).reference_class, path
 
 
 def _load_model(args) -> tuple[AppraisalModel, Path]:
+    from .cashflow import load_model
+
     path = _input_file(args.model, "model")
     return load_model(path), path
 
@@ -100,6 +118,10 @@ def _load_model(args) -> tuple[AppraisalModel, Path]:
 
 
 def cmd_ingest(args) -> _Run:
+    from dataclasses import asdict
+
+    from .refclass import read_records_csv
+
     path = _input_file(args.records, "records")
     result = read_records_csv(path, strict=args.strict)
     doc = {
@@ -113,6 +135,8 @@ def cmd_ingest(args) -> _Run:
 
 
 def cmd_stats(args) -> _Run:
+    from .refclass import group_stats, summarize
+
     ref, path = _load_records(args)
     thresholds = tuple(args.threshold or ())
     doc: dict = {"metric": args.metric, "thresholds": list(thresholds)}
@@ -144,6 +168,8 @@ def cmd_density(args) -> _Run:
         },
     }
     if args.format == "svg":
+        from . import charts
+
         artifacts["density.svg"] = charts.line_chart(
             [(f"{args.metric} ratio density", trace.grid, trace.density)],
             title=f"Density trace of {args.metric} ratios",
@@ -155,6 +181,7 @@ def cmd_density(args) -> _Run:
 
 
 def cmd_test(args) -> _Run:
+    from .refclass import group_ratios
     from .stats import mann_whitney_u, one_way_f, overrun_bias_samples, trend_f
 
     ref, path = _load_records(args)
@@ -184,11 +211,18 @@ def cmd_test(args) -> _Run:
 
 
 def cmd_appraise(args) -> _Run:
+    from dataclasses import asdict
+
+    from .cashflow import appraise
+
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
     doc = {**asdict(result), "benefit_shortfall": args.shortfall}
     artifacts = {"appraisal.json": doc}
     if args.format == "svg":
+        from . import charts
+        from .cashflow import payoff_curve
+
         curve = payoff_curve(model)
         legs = (("cumulative gain", curve.cum_gain), ("cumulative pain", curve.cum_pain))
         artifacts["payoff.svg"] = charts.line_chart(
@@ -249,6 +283,8 @@ def _parse_mults(raw: str, name: str) -> list[float]:
 
 
 def cmd_grid(args) -> _Run:
+    from dataclasses import asdict
+
     from .stress import sensitivity_grid
 
     model, path = _load_model(args)

@@ -20,6 +20,7 @@ from .refclass import sorted_quantile
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
 _KDE_BLOCK_ROWS = 32  # grid rows per pass over the sample; divides KDE_GRID_POINTS
+_KDE_REACH = 40.0  # bandwidths from a grid point past which a kernel is exactly 0 (at 38.61)
 EXACT_U_LIMIT = 31  # exact U test when n + m <= this: <= 5 ms at the worst split
 _NON_FINITE = "sample contains non-finite values"
 
@@ -84,6 +85,22 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     form's (-0.5 * z) * z wherever z * z is a normal float (elsewhere exp
     gives 1.0 or 0.0 either way), so the densities are bit-identical to the
     dense form.
+
+    Each grid row g computes exp only on its window of the sorted sample: the
+    x with fl(g - R) <= x <= fl(g + R), R = fl(40 h), found by searchsorted.
+    The rest of the row keeps the +0.0 the buffer was filled with, which is
+    the dense form's kernel there too. An x below the window lies below the
+    float nearest g - R, so g - x > R exactly; since rounding is monotone,
+    fl(g - x) >= R and |z| = fl(fl(g - x) / h) >= fl(R / h) > 39.99, and
+    exp(-0.5 z**2) is 0.0 for every |z| > 38.61. Above the window likewise.
+    An infinite 40 h, or a bound past the float range, excludes nothing. The
+    window runs the dense form's own operations on the same operands, and
+    numpy's exp gives each lane the same result whatever its neighbours are,
+    so each row holds the same values in the same places and sums to the
+    same bits. The windows cost a few numpy calls per row, about 2 ms a call
+    whatever n: a 5-value sample takes about 2 ms where the dense form took
+    0.3 ms, while a fat-tailed 10,000-value sample, whose kernels mostly
+    underflow down exp's slow path, takes about 10 ms instead of 60 ms.
     """
     if len(sample) < 1:
         raise InputError("kde requires at least one observation")
@@ -103,18 +120,37 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
         raise InputError(f"bandwidth must be finite with a finite grid span, got {h}")
     if not math.isfinite(1.0 / (h * math.sqrt(2.0 * math.pi))):  # peak kernel height
         raise InputError(f"bandwidth is too small for a finite density, got {h}")
+    norm = len(sample) * h * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(norm):  # every density would divide to 0.0
+        raise InputError(f"bandwidth {h} times the sample size {len(sample)} overflows the "
+                         "density's normalizer")
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
+    order = np.argsort(data, kind="stable")
+    xs = data[order]
     dens = np.empty(KDE_GRID_POINTS)
     b = np.empty((_KDE_BLOCK_ROWS, len(data)))
-    with np.errstate(over="ignore"):  # z / h or z * z may overflow: exp(-inf) is 0 either way
+    scratch = np.empty(len(data))
+    # g +- 40 h may overflow (the window is then the whole sample), and so may z / h or
+    # z * z (exp(-inf) is 0.0 either way)
+    with np.errstate(over="ignore"):
+        reach = _KDE_REACH * h
+        starts = np.searchsorted(xs, grid - reach, "left").tolist()
+        stops = np.searchsorted(xs, grid + reach, "right").tolist()
         for i in range(0, KDE_GRID_POINTS, _KDE_BLOCK_ROWS):
-            np.subtract(grid[i:i + _KDE_BLOCK_ROWS, None], data, out=b)
-            b /= h
-            np.multiply(b, b, out=b)
-            b *= -0.5
-            np.exp(b, out=b)
-            b.sum(axis=1, out=dens[i:i + _KDE_BLOCK_ROWS])
-    dens /= len(sample) * h * math.sqrt(2.0 * math.pi)
+            b.fill(0.0)
+            rows = slice(i, i + _KDE_BLOCK_ROWS)
+            for row, g, a, z in zip(b, grid[rows].tolist(), starts[rows], stops[rows]):
+                if a == z:
+                    continue
+                t = scratch[:z - a]
+                np.subtract(g, xs[a:z], out=t)
+                t /= h
+                np.multiply(t, t, out=t)
+                t *= -0.5
+                np.exp(t, out=t)
+                row[order[a:z]] = t
+            b.sum(axis=1, out=dens[rows])
+    dens /= norm
     return DensityTrace(tuple(grid.tolist()), tuple(dens.tolist()), h)
 
 

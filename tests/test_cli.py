@@ -650,6 +650,15 @@ def test_density_tiny_bandwidth_is_input_error(tmp_path, capsys):
     assert not (out / "density.json").exists()
 
 
+def test_density_bandwidth_overflowing_the_normalizer_is_input_error(tmp_path, capsys):
+    # n * h * sqrt(2 pi) overflows, so every density would read 0.0
+    out = tmp_path / "o"
+    assert run(["density", FIXTURE, "--bandwidth", "1e306", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "overflows the density's normalizer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratios, bandwidth", [
     (["1e17"] * 5, "1"),  # every grid value rounds to 1e17, so one unit above it is 1e17 too
     (["1.0", "1.0000000000000002"], "1e-300"),  # a tick step below half an ulp of 1.0
@@ -1004,35 +1013,42 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert _fresh_python(code) == "[]"
 
 
-# a command's exit code, then whether the process loaded numpy
+# a command's exit code, whether the process loaded numpy, then the fragilis modules it loaded
 _CLI_LOADS_NUMPY = (
     "import sys; from fragilis.cli import main; code = main(sys.argv[1:]); "
-    "print(code, 'numpy' in sys.modules)"
+    "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m[:9] == 'fragilis.'))"
 )
 
 
 def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
     # numpy is ~0.2 s of a command's ~0.3 s start-up, so only a command that computes
-    # with it loads it; density, stress and contingency do, so this test cannot pass vacuously
+    # with it loads it; density, stress and contingency do, so this test cannot pass vacuously.
+    # The same holds for fragilis' own modules: report loads none of cashflow, refclass or
+    # charts, the records commands skip cashflow, and appraise skips refclass.
     code = "import sys, fragilis, fragilis.stress, fragilis.datasets; print('numpy' in sys.modules)"
     assert _fresh_python(code) == "False"
     out = ["--out", str(tmp_path)]
-    for argv, loads in (
-        (["ingest", FIXTURE], False),
-        (["stats", FIXTURE], False),
-        (["stats", FIXTURE, "--group", "region"], False),
-        (["test", FIXTURE, "--test", "bias"], False),
-        (["test", FIXTURE, "--test", "decades"], False),
-        (["test", FIXTURE, "--test", "trend"], False),
-        (["appraise", STYLIZED, "--format", "svg"], False),
-        (["density", FIXTURE], True),
-        (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True),
-        (["grid", STYLIZED], False),
-        (["contingency", STYLIZED, "--dist", "big-dam"], True),
-        (["report"], False),
+    stress_modules = "_rng cashflow datasets dists refclass stress"
+    for argv, loads, modules in (
+        (["ingest", FIXTURE], False, "refclass"),
+        (["stats", FIXTURE], False, "refclass"),
+        (["stats", FIXTURE, "--group", "region"], False, "refclass"),
+        (["test", FIXTURE, "--test", "bias"], False, "refclass stats"),
+        (["test", FIXTURE, "--test", "decades"], False, "refclass stats"),
+        (["test", FIXTURE, "--test", "trend"], False, "refclass stats"),
+        (["appraise", STYLIZED, "--format", "svg"], False, "cashflow charts"),
+        (["density", FIXTURE], True, "refclass stats"),
+        (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True,
+         stress_modules),
+        (["grid", STYLIZED], False, "_rng cashflow dists refclass stress"),
+        (["contingency", STYLIZED, "--dist", "big-dam"], True, stress_modules),
+        (["report"], False, ""),
     ):
         last = _fresh_python(_CLI_LOADS_NUMPY, *argv, *out).splitlines()[-1]  # after the summary
-        assert last == f"0 {loads}", argv
+        code, numpy_loaded, *loaded = last.split()
+        assert (code, numpy_loaded) == ("0", str(loads)), argv
+        expected = {"cli", "errors", *modules.split()}
+        assert set(loaded) == {f"fragilis.{m}" for m in expected}, argv
     assert read_json(tmp_path / "manifest-grid.json")["run"]["numpy"] is None
 
 
@@ -1146,7 +1162,7 @@ def test_failing_command_writes_nothing(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise ComputeError("chart failed")
 
-    monkeypatch.setattr("fragilis.cli.charts.line_chart", fail)
+    monkeypatch.setattr("fragilis.charts.line_chart", fail)
     out = tmp_path / "o"
     assert run(["density", FIXTURE, "--format", "svg", "--out", str(out)]) == 3
     assert not out.exists()

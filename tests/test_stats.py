@@ -126,6 +126,14 @@ def test_kde_tiny_bandwidth_is_input_error():
         kde([1.0, 2.0, 3.0], bandwidth=1e-310)
 
 
+def test_kde_normalizer_overflow_is_input_error():
+    # n * h * sqrt(2 pi) overflows: every density would divide to 0.0, where the true
+    # peak (about 4e-307 here) is a normal float
+    with pytest.raises(InputError, match="overflows the density's normalizer"):
+        kde([1.0] * 1000, bandwidth=1e306)
+    assert max(kde([1.0] * 10, bandwidth=1e306).density) > 0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kde_far_apart_sample_does_not_warn():
     # z * z overflows between grid points and data; exp(-inf) = 0 is the right density
@@ -155,6 +163,44 @@ def test_kde_golden_digest():
     trace = kde(_overrun_sample(10_000))
     digest = hashlib.sha256(repr((trace.grid, trace.density, trace.bandwidth)).encode())
     assert digest.hexdigest() == "32144b50e27a50e3182f811f48e3f9fc6f37f13eb46211e1146bb84d4e369778"
+
+
+def _dense_kde_oracle(sample, grid, h):
+    """The blocked dense form the windowed kde replaced: every kernel of every grid
+    row, 32 rows at a time, each row summed in sample order."""
+    data = np.asarray(sample, dtype=float)
+    grid = np.asarray(grid)
+    dens = np.empty(len(grid))
+    b = np.empty((32, len(data)))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(grid), 32):
+            np.subtract(grid[i:i + 32, None], data, out=b)
+            b /= h
+            np.multiply(b, b, out=b)
+            b *= -0.5
+            np.exp(b, out=b)
+            b.sum(axis=1, out=dens[i:i + 32])
+    dens /= len(data) * h * math.sqrt(2.0 * math.pi)
+    return dens.tolist()
+
+
+_WIDE = np.linspace(-3.0, 3.0, 300)
+_NEAR_1E300 = 1e300 * (1.0 + np.linspace(-1e-15, 1e-15, 41))  # float spacing 1.5e284 > h
+
+
+@pytest.mark.parametrize("sample, bandwidth", [
+    (_overrun_sample(10_000), None),  # fat-tailed: kernels reach exp's subnormal band
+    (_WIDE, 100.0),  # |g - x| <= 406, so |z| <= 4.06: no kernel is 0
+    ([1.27], 0.1),
+    (1.0 + 1e-14 * np.arange(-20, 21) ** 3 / 400, 1e-14),
+    (_NEAR_1E300, 1e282),
+    (-_NEAR_1E300, 1e282),
+], ids=["golden", "all-nonzero", "n1", "h1e-14", "near+1e300", "near-1e300"])
+def test_kde_windows_match_the_dense_form_bit_for_bit(sample, bandwidth):
+    trace = kde(sample, bandwidth)
+    dense = _dense_kde_oracle(sample, trace.grid, trace.bandwidth)
+    assert [d.hex() for d in trace.density] == [d.hex() for d in dense]  # -0.0 would show
+    assert any(trace.density)
 
 
 def test_kde_peak_memory_is_one_block():
