@@ -1,7 +1,8 @@
 """Historical project records and reference-class statistics.
 
 A ProjectRecord holds one project's estimated-vs-actual cost and schedule in
-constant local currency with the decision year as price base. A
+constant local currency with the decision year as price base, as a checked
+named tuple (it equals, hashes and iterates as a plain tuple of its fields). A
 ReferenceClass is a filterable collection of them; summarize() produces the
 distribution metrics used to benchmark new projects (mean, median, IQR,
 quantiles, overrun shares, threshold-breaking shares).
@@ -9,7 +10,10 @@ quantiles, overrun shares, threshold-breaking shares).
 CSV schema (header required, UTF-8, comma-delimited): ProjectRecord's fields,
   id,name,country,region,project_type,decision_year,est_cost,act_cost,
   est_months,act_months,est_benefit,act_benefit
-in that order, with empty strings for the optional benefit fields.
+in that order, with empty strings for the optional benefit fields. Each row
+parses in one expression and builds its record through the same checks as the
+constructor; only a row that fails to parse is walked column by column, to name
+its first bad field.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import io
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, astuple, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, checked_fsum, finite
 
@@ -41,15 +45,7 @@ class Region(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectRecord:
-    """One historical project: estimated vs actual cost and schedule.
-
-    Costs are in constant local currency with the decision year as base year;
-    schedules are months from decision to full commercial operation. Benefit
-    fields are optional (None when the project has no benefit data).
-    """
-
+class _RecordFields(NamedTuple):
     id: str
     name: str
     country: str
@@ -63,30 +59,55 @@ class ProjectRecord:
     est_benefit: float | None = None
     act_benefit: float | None = None
 
-    def __post_init__(self) -> None:
-        for label, value in (
-            ("est_cost", self.est_cost),
-            ("act_cost", self.act_cost),
-            ("est_months", self.est_months),
-            ("act_months", self.act_months),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{label} must be a positive number, got {value}")
-        if not 1900 <= self.decision_year <= 2100:
-            raise InputError(f"decision_year must be in [1900, 2100], got {self.decision_year}")
-        # half-specified benefit fields are allowed; benefit statistics
-        # exclude such records pairwise
-        for label, value in (("est_benefit", self.est_benefit), ("act_benefit", self.act_benefit)):
-            if value is not None and not math.isfinite(value):
-                raise InputError(f"{label} must be a finite number, got {value}")
-        # checked last, so a row with another fault keeps that diagnostic
-        if not self.act_cost / self.est_cost < math.inf:  # positive finite floats: never NaN
-            raise InputError("act_cost / est_cost overflows the float range")
-        if not self.act_months / self.est_months < math.inf:
-            raise InputError("act_months / est_months overflows the float range")
+
+class ProjectRecord(_RecordFields):
+    """One historical project: estimated vs actual cost and schedule.
+
+    Costs are in constant local currency with the decision year as base year;
+    schedules are months from decision to full commercial operation. Benefit
+    fields are optional (None when the project has no benefit data).
+
+    A record is an immutable tuple of its fields: it equals, hashes and iterates
+    as one. Every way of building one (the constructor, _make, _replace, unpickling)
+    runs _check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        _check(rec)
+        return rec
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own skips __new__; _replace builds through this one
+        return cls(*iterable)
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclass_fields(ProjectRecord))
+def _check(values) -> None:
+    """Raise InputError for the first invalid field of a record's 12 values: costs and
+    months positive and finite, the year in [1900, 2100], benefits, when given, finite,
+    and last the two ratios finite, so a row with another fault keeps that diagnostic."""
+    year, est_cost, act_cost, est_months, act_months, est_benefit, act_benefit = values[5:]
+    for label, value in (("est_cost", est_cost), ("act_cost", act_cost),
+                         ("est_months", est_months), ("act_months", act_months)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{label} must be a positive number, got {value}")
+    if not 1900 <= year <= 2100:
+        raise InputError(f"decision_year must be in [1900, 2100], got {year}")
+    # half-specified benefit fields are allowed; benefit statistics
+    # exclude such records pairwise
+    for label, value in (("est_benefit", est_benefit), ("act_benefit", act_benefit)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{label} must be a finite number, got {value}")
+    if not act_cost / est_cost < math.inf:  # positive finite floats: never NaN
+        raise InputError("act_cost / est_cost overflows the float range")
+    if not act_months / est_months < math.inf:
+        raise InputError("act_months / est_months overflows the float range")
+
+
+CSV_COLUMNS = ProjectRecord._fields
+
 
 def cost_overrun_ratio(rec: ProjectRecord) -> float:
     """Actual outturn cost as a ratio of estimated cost."""
@@ -340,8 +361,10 @@ def _optional_float(raw: str) -> float | None:
     return float(raw) if raw else None
 
 
-# (parser, message for a value it rejects) per column, in CSV_COLUMNS order:
-# ProjectRecord's own field order, so ProjectRecord(*values) takes a parsed row.
+_REGIONS = {r.value: r for r in Region}
+
+# (parser, message for a value it rejects) per column, in CSV_COLUMNS order: the
+# parsers _parse_row applies in one expression, and here one at a time, to diagnose.
 _NOT_A_NUMBER = "not a number: {!r}"
 _COLUMN_PARSERS = (
     *[(str, "")] * 3,
@@ -354,10 +377,23 @@ _COLUMN_PARSERS = (
 
 
 def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
-    """The record in one CSV row, or the first problem with it. Columns are
-    checked in order; fields past the last column are ignored."""
+    """The record in one CSV row, or the first problem with it; fields past the last
+    column are ignored. All columns parse in one expression; only a row where that
+    raises goes through _parse_columns, which names its first bad field."""
     if len(fields) < len(CSV_COLUMNS):
         return RowError(line, CSV_COLUMNS[len(fields)], "missing column value")
+    id_, name, country, region, kind, year, ec, ac, em, am, eb, ab = map(str.strip, fields[:12])
+    try:
+        values = (id_, name, country, _REGIONS[region], kind, int(year), float(ec), float(ac),
+                  float(em), float(am), float(eb) if eb else None, float(ab) if ab else None)
+    except (KeyError, ValueError):
+        return _parse_columns(fields, line)
+    return _record(values, line)
+
+
+def _parse_columns(fields: list[str], line: int) -> ProjectRecord | RowError:
+    """_parse_row one column at a time: the first column whose parser rejects its
+    value is the diagnosed field."""
     values = []
     for name, raw, (parse, message) in zip(CSV_COLUMNS, fields, _COLUMN_PARSERS):
         raw = raw.strip()
@@ -365,10 +401,16 @@ def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
             values.append(parse(raw))
         except ValueError:
             return RowError(line, name, message.format(raw))
+    return _record(tuple(values), line)
+
+
+def _record(values: tuple, line: int) -> ProjectRecord | RowError:
+    """The record of a parsed row's values, or its (record) diagnostic."""
     try:
-        return ProjectRecord(*values)
+        _check(values)
     except InputError as exc:
         return RowError(line, "(record)", str(exc))
+    return tuple.__new__(ProjectRecord, values)
 
 
 def _ends_quoted(text: str, quoted: bool) -> bool:
@@ -462,4 +504,4 @@ def write_records_csv(ref: ReferenceClass, target: str | Path | io.TextIOBase) -
             return
     writer = csv.writer(target)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(astuple, ref.records))
+    writer.writerows(ref.records)

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from fragilis import datasets
 from fragilis.errors import ComputeError, InputError
 from fragilis.refclass import (
+    CSV_COLUMNS,
     ProjectRecord,
+    RowError,
     ReferenceClass,
     Region,
     cost_overrun_ratio,
@@ -17,6 +20,7 @@ from fragilis.refclass import (
     group_ratios,
     group_stats,
     quantile,
+    _parse_row,
     read_records_csv,
     schedule_slippage,
     summarize,
@@ -72,13 +76,59 @@ def test_schedule_slippage_values():
     assert schedule_slippage(make_record(1, est_months=60, act_months=60)) == 1.0
 
 
+# each invalid field passed to the constructor, with its message
+_INVALID_FIELDS = [
+    ({"est_cost": 0.0}, "est_cost must be a positive number, got 0.0"),
+    ({"act_cost": math.nan}, "act_cost must be a positive number, got nan"),
+    ({"est_months": math.inf}, "est_months must be a positive number, got inf"),
+    ({"act_months": -3.0}, "act_months must be a positive number, got -3.0"),
+    ({"year": 1850}, "decision_year must be in [1900, 2100], got 1850"),
+    ({"year": 2101}, "decision_year must be in [1900, 2100], got 2101"),
+    ({"est_benefit": math.nan}, "est_benefit must be a finite number, got nan"),
+    ({"act_benefit": -math.inf}, "act_benefit must be a finite number, got -inf"),
+    ({"est_cost": 1e-300, "act_cost": 1e300}, "act_cost / est_cost overflows the float range"),
+    ({"est_months": 1e-300, "act_months": 1e300},
+     "act_months / est_months overflows the float range"),
+    # the first invalid field is the one reported, and the ratio check comes last
+    ({"est_cost": -1.0, "act_months": 0.0}, "est_cost must be a positive number, got -1.0"),
+    ({"est_cost": 1e-300, "act_cost": 1e300, "year": 1800},
+     "decision_year must be in [1900, 2100], got 1800"),
+    ({"est_cost": 1e-300, "act_cost": 1e300, "act_benefit": math.nan},
+     "act_benefit must be a finite number, got nan"),
+]
+
+
 def test_record_validation():
-    with pytest.raises(InputError):
-        make_record(1, est_cost=0.0)
-    with pytest.raises(InputError):
-        make_record(1, act_months=-3.0)
-    with pytest.raises(InputError):
-        make_record(1, year=1850)
+    for fields, message in _INVALID_FIELDS:
+        with pytest.raises(InputError) as exc:
+            make_record(1, **fields)
+        assert str(exc.value) == message, fields
+
+
+def test_record_make_and_replace_run_the_constructor_checks():
+    rec = make_record(1)
+    with pytest.raises(InputError, match="est_cost must be a positive number, got -1.0"):
+        rec._replace(est_cost=-1.0)
+    with pytest.raises(InputError, match="act_cost must be a positive number, got nan"):
+        ProjectRecord._make([*rec[:7], math.nan, *rec[8:]])
+    assert rec._replace(name="Renamed") == (*rec[:1], "Renamed", *rec[2:])
+    assert ProjectRecord._make(iter(rec)) == rec
+
+
+def test_record_is_a_named_tuple_of_its_fields():
+    rec = make_record(1, est_benefit=5.0, act_benefit=4.0)
+    assert ProjectRecord._fields == CSV_COLUMNS == tuple(CSV_HEADER.split(","))
+    assert ProjectRecord(**dict(zip(CSV_COLUMNS, rec))) == rec  # keyword construction
+    plain = ("P001", "Project 1", "Testland", Region.ASIA, "hydroelectric", 1975,
+             100.0, 150.0, 60.0, 80.0, 5.0, 4.0)
+    assert rec == plain and hash(rec) == hash(plain) and tuple(rec) == plain
+    assert ProjectRecord(*plain[:10]).est_benefit is None  # the benefits default to None
+    with pytest.raises(AttributeError):
+        rec.est_cost = 1.0
+    with pytest.raises(AttributeError):
+        rec.extra = 1.0  # slotted: no instance dict
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is ProjectRecord and back.region is Region.ASIA
 
 
 def test_duplicate_ids_rejected():
@@ -633,6 +683,94 @@ def test_csv_ingest_golden_diagnostics():
     with pytest.raises(InputError) as exc:
         read_records_csv(io.StringIO(GOLDEN_CSV), strict=True)
     assert str(exc.value) == "row 3, field 'est_cost': not a number: 'abc'"
+
+
+def _parse_row_oracle(fields, line):
+    """The column-by-column reader that the one-expression parse replaced: each field
+    stripped and parsed in column order, the first that raises named, and the record
+    built by ProjectRecord(*values)."""
+    not_a_number = "not a number: {!r}"
+    parsers = (
+        *[(str, "")] * 3,
+        (Region, "unknown region {!r}; expected one of: "
+                 "NorthAmerica, SouthAmerica, Africa, Asia, Europe, Oceania"),
+        (str, ""),
+        (int, "not an integer year: {!r}"),
+        *[(float, not_a_number)] * 4,
+        *[(lambda raw: float(raw) if raw else None, not_a_number)] * 2,
+    )
+    if len(fields) < len(CSV_COLUMNS):
+        return RowError(line, CSV_COLUMNS[len(fields)], "missing column value")
+    values = []
+    for name, raw, (parse, message) in zip(CSV_COLUMNS, fields, parsers):
+        raw = raw.strip()
+        try:
+            values.append(parse(raw))
+        except ValueError:
+            return RowError(line, name, message.format(raw))
+    try:
+        return ProjectRecord(*values)
+    except InputError as exc:
+        return RowError(line, "(record)", str(exc))
+
+
+_VALID_ROW = ["A", "Dam", "X", "Asia", "road", "1990", "100", "150", "60", "80", "5", "4"]
+# per column: values to try in place of the valid one, most of them rejected by the
+# column's parser or by the record checks (a text column rejects nothing)
+_BAD_VALUES = [
+    ["\x00"], ["\ufffd"], [","],
+    ["Atlantis", "europe", "EUROPE", "Region.EUROPE", "Euro pe", "Europe\u200b"],
+    ["?"],
+    ["bad-year", "1990.5", "1e3", "0x7c6", "1850", "2101", "1990-01"],
+    *[["abc", "0", "-1", "nan", "inf", "-inf", "1,5", "0x10", "1e999"]] * 4,
+    *[["x", "nan", "inf", "-inf", "1.2.3", "1e999"]] * 2,
+]
+
+
+def _with(**columns):
+    row = list(_VALID_ROW)
+    for name, value in columns.items():
+        row[CSV_COLUMNS.index(name)] = value
+    return row
+
+
+def _differential_rows():
+    rows = [list(_VALID_ROW), [*_VALID_ROW, "surplus", ""]]
+    for i, bad in enumerate(_BAD_VALUES):
+        for value in [*bad, "", f" {_VALID_ROW[i]} ", f"\t{_VALID_ROW[i]}\r", f"\u00a0{bad[0]} "]:
+            rows.append([*_VALID_ROW[:i], value, *_VALID_ROW[i + 1:]])
+    rows += [_VALID_ROW[:n] for n in range(len(_VALID_ROW))]  # a missing column
+    rows += [
+        _with(region="Atlantis", est_cost="abc"),  # two bad columns: the first wins
+        _with(decision_year="x", act_benefit="y"),
+        _with(est_cost="abc", decision_year="1850"),  # a parse fault before a record fault
+        _with(est_cost="1e-300", act_cost="1e300", est_benefit="x"),  # the field wins
+        _with(est_cost="1e-300", act_cost="1e300", est_benefit="nan"),
+        _with(est_cost="1e-300", act_cost="1e300"),
+        _with(est_months="1e-300", act_months="1e300"),
+        _with(est_cost="1e-8", act_cost="1e300"),  # a ratio of 1e308 is finite
+        _with(est_cost="0", act_cost="-1"),
+        _with(decision_year="+1990", est_cost="1_000", act_cost=" 2E3 ", est_benefit="", act_benefit=""),
+        _with(decision_year="\u0661\u0669\u0669\u0660"),  # int() reads any Unicode digits
+        *[_with(region=r) for r in ("europe", " Europe ", "Europe\t", "\tEurope", "Europe\n",
+                                   "Oceania", "SouthAmerica", "South America", "")],
+    ]
+    return rows
+
+
+def test_parse_row_matches_the_column_by_column_oracle():
+    rows = _differential_rows()
+    outcomes = {"record": 0, "field": 0, "(record)": 0}
+    for fields in rows:
+        got, want = _parse_row(list(fields), 7), _parse_row_oracle(list(fields), 7)
+        assert type(got) is type(want), fields
+        if isinstance(want, RowError):
+            assert (got.row, got.field, got.message) == (want.row, want.field, want.message), fields
+            outcomes["(record)" if want.field == "(record)" else "field"] += 1
+        else:
+            assert got == want and [type(v) for v in got] == [type(v) for v in want], fields
+            outcomes["record"] += 1
+    assert min(outcomes.values()) >= 10, outcomes  # the table reaches every kind of outcome
 
 
 def test_csv_spaced_header_ingests_rows():
