@@ -19,7 +19,6 @@ from .refclass import sorted_quantile
 
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
-_KDE_BLOCK_ROWS = 32  # grid rows per pass over the sample; divides KDE_GRID_POINTS
 _KDE_REACH = 40.0  # bandwidths from a grid point past which a kernel is exactly 0 (at 38.61)
 EXACT_U_LIMIT = 31  # exact U test when n + m <= this: <= 5 ms at the worst split
 _NON_FINITE = "sample contains non-finite values"
@@ -79,17 +78,20 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     The default bandwidth follows Silverman's rule; a zero-variance sample
     has no data-driven scale, so an explicit bandwidth is then required.
 
-    The grid is evaluated in blocks of 32 rows through one reused (32, n)
-    buffer, so memory is O(32 * n) rather than O(512 * n). Each row is still
-    reduced by the same contiguous sum, and -0.5 * (z * z) equals the dense
-    form's (-0.5 * z) * z wherever z * z is a normal float (elsewhere exp
-    gives 1.0 or 0.0 either way), so the densities are bit-identical to the
-    dense form.
+    The densities are bit-identical to the dense form, which fills a 512 x n
+    kernel matrix and sums each row. Here one reused n-long row holds a grid
+    row's kernels in sample order, so memory is O(n). A contiguous 1-D sum
+    runs the same pairwise tree as each row of a C-contiguous axis-1 sum, and
+    -0.5 * (z * z) equals the dense form's (-0.5 * z) * z wherever z * z is a
+    normal float (elsewhere exp gives 1.0 or 0.0 either way).
 
     Each grid row g computes exp only on its window of the sorted sample: the
     x with fl(g - R) <= x <= fl(g + R), R = fl(40 h), found by searchsorted.
-    The rest of the row keeps the +0.0 the buffer was filled with, which is
-    the dense form's kernel there too. An x below the window lies below the
+    The window is scattered into the row through the sort's permutation. The
+    grid is sorted and rounding is monotone, so window starts never decrease,
+    and zeroing the part of the previous windows below this one's start
+    leaves +0.0 everywhere outside the window: the dense form's kernel there
+    too. An x below the window lies below the
     float nearest g - R, so g - x > R exactly; since rounding is monotone,
     fl(g - x) >= R and |z| = fl(fl(g - x) / h) >= fl(R / h) > 39.99, and
     exp(-0.5 z**2) is 0.0 for every |z| > 38.61. Above the window likewise.
@@ -97,10 +99,10 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     window runs the dense form's own operations on the same operands, and
     numpy's exp gives each lane the same result whatever its neighbours are,
     so each row holds the same values in the same places and sums to the
-    same bits. The windows cost a few numpy calls per row, about 2 ms a call
-    whatever n: a 5-value sample takes about 2 ms where the dense form took
+    same bits. The windows cost a few numpy calls per row, about 3 ms a call
+    whatever n: a 5-value sample takes about 3 ms where the dense form took
     0.3 ms, while a fat-tailed 10,000-value sample, whose kernels mostly
-    underflow down exp's slow path, takes about 10 ms instead of 60 ms.
+    underflow down exp's slow path, takes about 8 ms instead of 60 ms.
     """
     if len(sample) < 1:
         raise InputError("kde requires at least one observation")
@@ -128,7 +130,7 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
     order = np.argsort(data, kind="stable")
     xs = data[order]
     dens = np.empty(KDE_GRID_POINTS)
-    b = np.empty((_KDE_BLOCK_ROWS, len(data)))
+    row = np.zeros(len(data))
     scratch = np.empty(len(data))
     # g +- 40 h may overflow (the window is then the whole sample), and so may z / h or
     # z * z (exp(-inf) is 0.0 either way)
@@ -136,20 +138,18 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
         reach = _KDE_REACH * h
         starts = np.searchsorted(xs, grid - reach, "left").tolist()
         stops = np.searchsorted(xs, grid + reach, "right").tolist()
-        for i in range(0, KDE_GRID_POINTS, _KDE_BLOCK_ROWS):
-            b.fill(0.0)
-            rows = slice(i, i + _KDE_BLOCK_ROWS)
-            for row, g, a, z in zip(b, grid[rows].tolist(), starts[rows], stops[rows]):
-                if a == z:
-                    continue
-                t = scratch[:z - a]
-                np.subtract(g, xs[a:z], out=t)
-                t /= h
-                np.multiply(t, t, out=t)
-                t *= -0.5
-                np.exp(t, out=t)
-                row[order[a:z]] = t
-            b.sum(axis=1, out=dens[rows])
+        left = 0
+        for i, (g, a, z) in enumerate(zip(grid.tolist(), starts, stops)):
+            row[order[left:a]] = 0.0  # what the previous windows left below this one
+            left = a
+            t = scratch[:z - a]
+            np.subtract(g, xs[a:z], out=t)
+            t /= h
+            np.multiply(t, t, out=t)
+            t *= -0.5
+            np.exp(t, out=t)
+            row[order[a:z]] = t
+            dens[i] = row.sum()
     dens /= norm
     return DensityTrace(tuple(grid.tolist()), tuple(dens.tolist()), h)
 

@@ -487,6 +487,14 @@ def test_ingest_strict_aborts_with_exit_2(tmp_path, capsys):
     assert "row 2" in err and "Atlantis" in err
 
 
+def test_ingest_empty_csv_is_validation_error(tmp_path, capsys):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("", encoding="utf-8")
+    assert run(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "CSV is empty: header row required" in err
+
+
 def test_records_not_utf8_is_validation_error(tmp_path, capsys):
     csv_path = tmp_path / "latin1.csv"
     csv_path.write_bytes(CSV_HEADER.encode() + b"\nA,Dam,\xff,Asia,road,1990,1,2,3,4,,\n")
@@ -810,6 +818,16 @@ def test_grid_non_finite_multiplier_is_validation_error(tmp_path, capsys):
         rc = run(["grid", STYLIZED, flag, raw, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "grid multipliers must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, raw, message", [
+    ("--benefit-mults", "a,b", "--benefit-mults must be a comma-separated list of numbers: 'a,b'"),
+    ("--cost-mults", ",", "--cost-mults must contain at least one multiplier"),
+])
+def test_grid_unparseable_multipliers_are_validation_errors(tmp_path, capsys, flag, raw, message):
+    assert run(["grid", STYLIZED, flag, raw, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
 
 
 def test_grid_overflowing_multiplier_is_computation_error(tmp_path, capsys):

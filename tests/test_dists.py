@@ -9,6 +9,7 @@ from fragilis import _rng
 from fragilis.datasets import BIG_DAM_ANCHORS, BIG_DAM_FLOOR, BIG_DAM_MEAN, resolve_dist
 from fragilis.dists import (
     GeneralizedParetoTail,
+    QuantileDistribution,
     build_quantile_dist,
     dist_from_dict,
 )
@@ -77,6 +78,11 @@ def test_non_monotone_anchors_rejected():
             build_quantile_dist([(0.5, 1.5), (0.7, x)], 0.4, tail_shape=0.1, tail_scale=0.5)
 
 
+def test_anchor_lists_of_different_lengths_rejected(canonical_dist):
+    with pytest.raises(InputError, match="differ in length"):
+        QuantileDistribution((0.5, 0.7), (1.5,), 0.4, canonical_dist.tail)
+
+
 def test_tail_parameter_validation():
     for shape, scale in ((1.0, 0.5), (0.2, 0.0), (-math.inf, 0.5), (0.2, math.inf), (0.2, math.nan)):
         with pytest.raises(InputError):
@@ -133,6 +139,8 @@ def test_sample_domain_errors(canonical_dist):
             canonical_dist.quantile(u)
         with pytest.raises(InputError):
             canonical_dist.quantile_array(np.array([0.5, u]))
+        with pytest.raises(InputError, match="p_hi must lie strictly inside"):
+            canonical_dist.partial_mean(u)
     with pytest.raises(InputError):
         canonical_dist.cdf(math.nan)
 

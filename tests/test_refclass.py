@@ -298,6 +298,11 @@ def test_quantile_between_order_statistics_whose_difference_overflows():
     assert quantile([-1e308, 0.0, 1e308], (0.25, 0.75)) == (-5e307, 5e307)  # b - a finite
 
 
+def test_quantile_of_an_empty_sample_is_an_input_error():
+    with pytest.raises(InputError, match="quantile of an empty sample"):
+        quantile([], (0.5,))
+
+
 def test_quantile_rejects_levels_outside_unit_interval():
     with pytest.raises(InputError, match="quantile level must be in"):
         quantile([1.0, 2.0], (0.5, 1.5))

@@ -159,7 +159,7 @@ def _overrun_sample(n: int) -> np.ndarray:
 
 
 def test_kde_golden_digest():
-    # frozen from the dense 512 x n evaluation; the blocked one must match it bit for bit
+    # frozen from the dense 512 x n evaluation; the windowed one must match it bit for bit
     trace = kde(_overrun_sample(10_000))
     digest = hashlib.sha256(repr((trace.grid, trace.density, trace.bandwidth)).encode())
     assert digest.hexdigest() == "32144b50e27a50e3182f811f48e3f9fc6f37f13eb46211e1146bb84d4e369778"
@@ -186,6 +186,12 @@ def _dense_kde_oracle(sample, grid, h):
 
 _WIDE = np.linspace(-3.0, 3.0, 300)
 _NEAR_1E300 = 1e300 * (1.0 + np.linspace(-1e-15, 1e-15, 41))  # float spacing 1.5e284 > h
+# two clusters 2,000 bandwidths apart, in shuffled order: the rows between them have
+# empty windows, and each window's sample positions are scattered through the row. The
+# grid step is 3.9 h, so a kernel that leaves a window was a normal float in the row
+# before; at h = 1.0 it would be subnormal there and vanish under the normalizer
+_GAP = np.random.default_rng(32).permutation(
+    np.concatenate([np.linspace(0.0, 1.0, 60), 1000.0 + np.linspace(0.0, 1.0, 60)]))
 
 
 @pytest.mark.parametrize("sample, bandwidth", [
@@ -195,7 +201,8 @@ _NEAR_1E300 = 1e300 * (1.0 + np.linspace(-1e-15, 1e-15, 41))  # float spacing 1.
     (1.0 + 1e-14 * np.arange(-20, 21) ** 3 / 400, 1e-14),
     (_NEAR_1E300, 1e282),
     (-_NEAR_1E300, 1e282),
-], ids=["golden", "all-nonzero", "n1", "h1e-14", "near+1e300", "near-1e300"])
+    (_GAP, 0.5),
+], ids=["golden", "all-nonzero", "n1", "h1e-14", "near+1e300", "near-1e300", "gap"])
 def test_kde_windows_match_the_dense_form_bit_for_bit(sample, bandwidth):
     trace = kde(sample, bandwidth)
     dense = _dense_kde_oracle(sample, trace.grid, trace.bandwidth)
@@ -203,8 +210,8 @@ def test_kde_windows_match_the_dense_form_bit_for_bit(sample, bandwidth):
     assert any(trace.density)
 
 
-def test_kde_peak_memory_is_one_block():
-    # a dense 512 x 10,000 distance matrix alone is 39 MiB
+def test_kde_peak_memory_is_one_row():
+    # a dense 512 x 10,000 distance matrix alone is 39 MiB, and one row of it 78 KiB
     sample = _overrun_sample(10_000)
     tracemalloc.start()
     try:
@@ -212,7 +219,7 @@ def test_kde_peak_memory_is_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
