@@ -3,8 +3,18 @@
 Commands: ingest, stats, density, test, appraise, stress, grid, contingency,
 report. Each command only loads and computes: it returns the input files it
 read, its artifacts and a one-line summary, and imports only the modules it
-computes with (report loads none of cashflow, refclass or charts). main sets
-each JSON artifact's source to the first input, renders it with
+computes with (beyond cli and errors):
+
+    ingest, stats   refclass
+    test            refclass, stats
+    density         refclass, stats and numpy
+    appraise        cashflow, and charts for --format svg
+    stress          _rng, cashflow, datasets, dists, refclass, stress and numpy
+    grid            _rng, cashflow, dists and stress
+    contingency     _rng, cashflow, datasets, dists and stress
+    report          none
+
+main sets each JSON artifact's source to the first input, renders it with
 allow_nan=False (a non-finite number is a computation error) and only then
 creates --out and writes the artifacts and the run manifest (provenance and
 how the run went; see _manifest). A command that fails writes nothing.

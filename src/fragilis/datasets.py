@@ -21,18 +21,15 @@ import json
 import os
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import _rng
 from .cashflow import AppraisalModel, CashFlowStream, load_model, model_to_dict
 from .dists import QuantileDistribution, build_quantile_dist, load_dist
 from .errors import InputError, load_json
-from .refclass import (
-    ProjectRecord,
-    ReferenceClass,
-    Region,
-    summarize,
-    write_records_csv,
-)
+
+if TYPE_CHECKING:  # annotations only: refclass loads where records are built
+    from .refclass import ReferenceClass
 
 BIG_DAM = "big-dam"
 BIG_DAM_SCHEDULE = "big-dam-schedule"
@@ -140,13 +137,13 @@ def build_stylized_model() -> AppraisalModel:
     )
 
 
-_REGION_POOL = (
-    (Region.ASIA, ("Pakistan", "India", "China", "Turkey")),
-    (Region.SOUTH_AMERICA, ("Colombia", "Brazil", "Argentina")),
-    (Region.AFRICA, ("Zambia", "Zimbabwe", "Nigeria", "Egypt")),
-    (Region.NORTH_AMERICA, ("United States", "Canada", "Mexico")),
-    (Region.EUROPE, ("Italy", "Spain", "Norway")),
-    (Region.OCEANIA, ("Australia", "New Zealand")),
+_REGION_POOL = (  # Region values; refclass loads only where records are built
+    ("Asia", ("Pakistan", "India", "China", "Turkey")),
+    ("SouthAmerica", ("Colombia", "Brazil", "Argentina")),
+    ("Africa", ("Zambia", "Zimbabwe", "Nigeria", "Egypt")),
+    ("NorthAmerica", ("United States", "Canada", "Mexico")),
+    ("Europe", ("Italy", "Spain", "Norway")),
+    ("Oceania", ("Australia", "New Zealand")),
 )
 _REGION_WEIGHTS = (0.34, 0.22, 0.18, 0.14, 0.09, 0.03)
 _TYPE_POOL = ("hydroelectric", "irrigation", "multipurpose", "water_supply", "flood_control")
@@ -166,6 +163,8 @@ def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> Reference
     """Deterministic synthetic reference class drawn from the bundled
     distributions. Every field derives from counter-based uniforms, so the
     fixture is reproducible bit-for-bit on any platform."""
+    from .refclass import ProjectRecord, ReferenceClass, Region
+
     cost_dist = build_quantile_dist(BIG_DAM_ANCHORS, BIG_DAM_FLOOR, mean_target=BIG_DAM_MEAN)
     slip_dist = build_quantile_dist(
         SCHEDULE_ANCHORS, SCHEDULE_FLOOR, mean_target=SCHEDULE_MEAN
@@ -194,7 +193,7 @@ def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> Reference
                 id=f"SYN-{i + 1:03d}",
                 name=f"Synthetic Dam {i + 1:03d}",
                 country=countries[i % len(countries)],
-                region=region,
+                region=Region(region),
                 project_type=_TYPE_POOL[type_idx],
                 decision_year=year,
                 est_cost=est_cost,
@@ -222,6 +221,8 @@ def _dist_asset_doc(name: str, anchors, floor_x: float, mean: float, notes: str)
 def regenerate(target: Path | None = None) -> None:
     """Write all bundled assets. Used at build time and by tests that verify
     the shipped files match their constructors."""
+    from .refclass import summarize, write_records_csv
+
     out = target or Path(resources.files("fragilis") / "data")
     out.mkdir(parents=True, exist_ok=True)
 

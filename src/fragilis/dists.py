@@ -7,9 +7,13 @@ scale) or calibrated: the scale is pinned by matching the quantile slope at
 the junction (which makes the density continuous there) and the shape is
 solved so the analytic mean of the composed distribution hits a target.
 
-Every anchor is reproduced exactly by quantile(); the mean, CDF, and partial
-expectations all have closed forms, so Monte Carlo output can be checked
-against analytic values.
+The inverse CDF has two bodies kept side by side: quantile_array, numpy over
+every level of an array (the stress draws), and quantile, plain Python on libm
+for one level, so the commands that read a single quantile never load numpy.
+Both run the same formula in the same order; they agree exactly at every
+anchor and within a few ulps elsewhere (at most 4 in the tests). The mean,
+CDF, and partial expectations all have closed forms, so Monte Carlo output
+can be checked against analytic values.
 """
 
 from __future__ import annotations
@@ -54,13 +58,16 @@ class GeneralizedParetoTail:
     def mean_excess(self) -> float:
         return self.scale / (1.0 - self.shape)
 
-    def quantile_excess(self, q: np.ndarray) -> np.ndarray:
-        """Excess over the threshold at each tail level q in [0, 1)."""
+    def quantile_excess(self, q: float | np.ndarray) -> float | np.ndarray:
+        """Excess over the threshold at tail level q in [0, 1): a float by math, or
+        each level of an array by numpy."""
+        if self.shape != 0.0:
+            return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
+        if isinstance(q, float):
+            return -self.scale * math.log1p(-q)
         import numpy as np
 
-        if self.shape == 0.0:
-            return -self.scale * np.log1p(-q)
-        return self.scale / self.shape * ((1.0 - q) ** -self.shape - 1.0)
+        return -self.scale * np.log1p(-q)
 
     def partial_mean_excess(self, q: float) -> float:
         """Integral of quantile_excess over tail levels (0, q), for q in [0, 1)."""
@@ -110,8 +117,30 @@ class QuantileDistribution:
         return (0.0, *self.anchor_ps), (self.floor_x, *self.anchor_xs)
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF at p in (0, 1); anchors are returned exactly."""
-        return float(self.quantile_array([p])[0])
+        """Inverse CDF at one level p in (0, 1); anchors are returned exactly.
+
+        Plain Python on libm, never numpy: quantile_array's formula in its order
+        of operations, so off the anchors the two can differ by a few ulps, as
+        math.exp, math.log and pow differ from numpy's loops. Only libm rounds
+        here, so the result does not change with numpy's CPU dispatch target."""
+        p = float(p)
+        if not 0.0 < p < 1.0:  # NaN fails the check too
+            raise InputError("quantile levels must lie strictly inside (0, 1)")
+        ps, xs = self._nodes()
+        p_last = ps[-1]
+        if p > p_last:
+            q = (p - p_last) / (1.0 - p_last)
+            if q == 1.0:  # a level rounded onto the tail's end, where quantile_array reads it too
+                return self.support_upper()
+            return xs[-1] + self.tail.quantile_excess(q)
+        # Segment [ps[hi-1], ps[hi]] holding p, by quantile_array's node-count rule
+        hi = 1 + sum(p > node for node in ps[1:-1])
+        if ps[hi] == p:
+            return xs[hi]
+        lo = hi - 1
+        frac = (p - ps[lo]) / (ps[hi] - ps[lo])
+        log_lo = math.log(xs[lo])
+        return math.exp(log_lo + frac * (math.log(xs[hi]) - log_lo))
 
     def quantile_array(self, p: np.ndarray) -> np.ndarray:
         """Inverse CDF at every level of p, any shape; anchors are returned exactly."""
@@ -195,7 +224,7 @@ class QuantileDistribution:
         total = 0.0
         for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
             top = min(pb, p_hi)
-            x_top = xb if top == pb else float(self.quantile(top))
+            x_top = xb if top == pb else self.quantile(top)
             if x_top == xa:
                 avg = xa
             else:
@@ -204,7 +233,7 @@ class QuantileDistribution:
             if top == p_hi:
                 return total
         # remainder lies in the tail: integrate threshold + excess quantile
-        p_last = float(ps[-1])
+        p_last = ps[-1]
         q_hi = (p_hi - p_last) / (1.0 - p_last)
         integral_excess = self.tail.partial_mean_excess(q_hi)
         return total + (1.0 - p_last) * (self.anchor_xs[-1] * q_hi + integral_excess)

@@ -1039,14 +1039,16 @@ _CLI_LOADS_NUMPY = (
 
 
 def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
-    # numpy is ~0.2 s of a command's ~0.3 s start-up, so only a command that computes
-    # with it loads it; density, stress and contingency do, so this test cannot pass vacuously.
-    # The same holds for fragilis' own modules: report loads none of cashflow, refclass or
-    # charts, the records commands skip cashflow, and appraise skips refclass.
+    # numpy's import took 59-82 ms (-X importtime) of the 157-166 ms a contingency process
+    # took while it loaded numpy (2 CPUs), so only a command that computes with it loads it;
+    # density and stress do, so this test cannot pass vacuously. The same holds for fragilis' own modules:
+    # report loads none of cashflow, refclass or charts, the records commands skip cashflow,
+    # and appraise, grid and contingency skip refclass.
     code = "import sys, fragilis, fragilis.stress, fragilis.datasets; print('numpy' in sys.modules)"
     assert _fresh_python(code) == "False"
     out = ["--out", str(tmp_path)]
     stress_modules = "_rng cashflow datasets dists refclass stress"
+    contingency_modules = "_rng cashflow datasets dists stress"
     for argv, loads, modules in (
         (["ingest", FIXTURE], False, "refclass"),
         (["stats", FIXTURE], False, "refclass"),
@@ -1058,8 +1060,10 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
         (["density", FIXTURE], True, "refclass stats"),
         (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True,
          stress_modules),
-        (["grid", STYLIZED], False, "_rng cashflow dists refclass stress"),
-        (["contingency", STYLIZED, "--dist", "big-dam"], True, stress_modules),
+        (["grid", STYLIZED], False, "_rng cashflow dists stress"),
+        (["contingency", STYLIZED, "--dist", "big-dam"], False, contingency_modules),
+        (["contingency", STYLIZED, "--dist", "big-dam", "--coverage", "0.85"], False,
+         contingency_modules),  # off the anchors: the body's math.exp, not a pinned value
         (["report"], False, ""),
     ):
         last = _fresh_python(_CLI_LOADS_NUMPY, *argv, *out).splitlines()[-1]  # after the summary
@@ -1068,6 +1072,11 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
         expected = {"cli", "errors", *modules.split()}
         assert set(loaded) == {f"fragilis.{m}" for m in expected}, argv
     assert read_json(tmp_path / "manifest-grid.json")["run"]["numpy"] is None
+    sized = read_json(tmp_path / "contingency.json")  # the last run: coverage 0.85
+    big_dam = datasets.resolve_dist("big-dam")
+    assert sized["coverage"] == 0.85 and sized["contingency"] == big_dam.quantile(0.85) - 1.0
+    at_085 = float(big_dam.quantile_array(np.array([0.85]))[0])
+    assert abs(sized["contingency"] + 1.0 - at_085) <= 2 * math.ulp(at_085)
 
 
 def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
@@ -1076,7 +1085,9 @@ def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
     _fresh_python(_CLI_LOADS_NUMPY, "stats", FIXTURE, *out)
     _fresh_python(_CLI_LOADS_NUMPY, "stress", STYLIZED, "--dist", "big-dam", "--trials", "1000",
                   "--seed", "1", *out)
+    _fresh_python(_CLI_LOADS_NUMPY, "contingency", STYLIZED, "--dist", "big-dam", *out)
     assert read_json(tmp_path / "manifest-appraise.json")["run"]["numpy"] is None
+    assert read_json(tmp_path / "manifest-contingency.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stats.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stress.json")["run"]["numpy"] == np.__version__
 

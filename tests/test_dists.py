@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -145,6 +146,67 @@ def test_sample_domain_errors(canonical_dist):
         canonical_dist.cdf(math.nan)
 
 
+def test_quantile_rejects_levels_as_quantile_array_does(canonical_dist):
+    for p in (0.0, -0.0, 1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError) as one:
+            canonical_dist.quantile(p)
+        with pytest.raises(InputError) as array:
+            canonical_dist.quantile_array(np.array([p]))
+        assert str(one.value) == str(array.value), p
+
+
+def test_quantile_at_a_level_rounded_onto_the_tail_end():
+    # with this last anchor, the tail level of the largest p below 1 rounds to q = 1
+    p_last, p = 0.45056625543445067, math.nextafter(1.0, 0.0)
+    assert (p - p_last) / (1.0 - p_last) == 1.0
+    for shape in (0.4, 0.0, -0.5):
+        dist = build_quantile_dist([(p_last, 2.0)], floor_x=1.0, tail_shape=shape, tail_scale=0.3)
+        with np.errstate(divide="ignore"):
+            expected = float(dist.quantile_array(np.array([p]))[0])
+        assert dist.quantile(p) == expected == dist.support_upper(), shape
+
+
+def _quantile_mp(dist, p):
+    """The piecewise inverse CDF at float level p, evaluated by mpmath at 50 digits."""
+    ps, xs = (tuple(map(mpmath.mpf, nodes)) for nodes in dist._nodes())
+    p = mpmath.mpf(p)
+    if p > ps[-1]:
+        q = (p - ps[-1]) / (1 - ps[-1])
+        shape, scale = mpmath.mpf(dist.tail.shape), mpmath.mpf(dist.tail.scale)
+        if shape == 0:
+            return xs[-1] - scale * mpmath.log1p(-q)
+        return xs[-1] + scale / shape * ((1 - q) ** -shape - 1)
+    hi = 1 + sum(p > node for node in ps[1:-1])
+    if ps[hi] == p:
+        return xs[hi]
+    lo = hi - 1
+    log_lo, log_hi = mpmath.log(xs[lo]), mpmath.log(xs[hi])
+    return mpmath.exp(log_lo + (p - ps[lo]) / (ps[hi] - ps[lo]) * (log_hi - log_lo))
+
+
+@pytest.mark.parametrize("name", ["big-dam", "big-dam-schedule"])
+def test_quantile_within_3_ulps_of_50_digit_oracle(name):
+    dist = resolve_dist(name)
+    anchors = np.array(dist.anchor_ps)
+    levels = np.concatenate([
+        anchors,
+        np.nextafter(anchors, 0.0),
+        np.nextafter(anchors, 1.0),
+        _rng.uniforms(5, 1, 0, 400),
+        1.0 - _rng.uniforms(6, 1, 0, 100) * 1e-9,
+    ])
+    arrays = dist.quantile_array(levels).tolist()
+    # measured, quantile and quantile_array: 2.31 and 2.31 (big-dam), 2.15 and 2.28 (schedule)
+    worst = [0.0, 0.0]
+    with mpmath.workdps(50):
+        for p, from_array in zip(levels.tolist(), arrays):
+            exact = _quantile_mp(dist, p)
+            ulp = math.ulp(float(exact))
+            for k, got in enumerate((dist.quantile(p), from_array)):
+                worst[k] = max(worst[k], float(abs(got - exact)) / ulp)
+    assert max(worst) <= 3.0, worst
+
+
 def _quantile_array_oracle(dist, p):
     """The searchsorted and boolean-mask inverse CDF that quantile_array
     replaced, kept as its bit-level reference."""
@@ -230,9 +292,13 @@ def test_quantile_array_bit_identical_to_oracle(name):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     for p, x in zip(dist.anchor_ps, dist.anchor_xs):
         assert dist.quantile(p) == x
-    for p in levels.tolist()[::37]:  # quantile is quantile_array at one level, bit for bit
-        got_one, expected_one = dist.quantile(p), float(dist.quantile_array(np.array([p]))[0])
-        assert type(got_one) is float and got_one.hex() == expected_one.hex(), p
+    # quantile runs the same formula on libm, whose exp, log and pow differ from numpy's X86_V4
+    # loops: measured at most 2 ulps from quantile_array (4 on big-dam-schedule's tail) on 3-5%
+    # of levels, and none on X86_V3 or baseline loops
+    ones = [dist.quantile(p) for p in levels.tolist()]
+    assert all(type(one) is float for one in ones)
+    ulps = np.abs(np.array(ones).view(np.int64) - got.view(np.int64))  # values are all positive
+    assert ulps.max() <= 4, levels[ulps.argmax()]
     # any input shape, as before: a 2-D block and a 0-d level
     block = levels[:600].reshape(20, 30)
     assert np.array_equal(dist.quantile_array(block), _quantile_array_oracle(dist, block))
