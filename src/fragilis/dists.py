@@ -223,14 +223,13 @@ class QuantileDistribution:
         ps, xs = self._nodes()
         total = 0.0
         for (pa, xa), (pb, xb) in zip(zip(ps, xs), zip(ps[1:], xs[1:])):
-            top = min(pb, p_hi)
-            x_top = xb if top == pb else self.quantile(top)
-            if x_top == xa:
-                avg = xa
-            else:
-                avg = (x_top - xa) / math.log(x_top / xa)
-            total += (top - pa) * avg
-            if top == p_hi:
+            if p_hi < pb:  # the last, partial segment: the quantile over (pa, p_hi) is
+                # xa e^(s t) for s in (0, 1), whose mean xa expm1(t) / t does not cancel near pa
+                log_xa = math.log(xa)
+                t = (p_hi - pa) / (pb - pa) * (math.log(xb) - log_xa)
+                return total + (p_hi - pa) * (xa * (math.expm1(t) / t) if t else xa)
+            total += (pb - pa) * ((xb - xa) / math.log(xb / xa))
+            if p_hi == pb:
                 return total
         # remainder lies in the tail: integrate threshold + excess quantile
         p_last = ps[-1]

@@ -11,9 +11,10 @@ CSV schema (header required, UTF-8, comma-delimited): ProjectRecord's fields,
   id,name,country,region,project_type,decision_year,est_cost,act_cost,
   est_months,act_months,est_benefit,act_benefit
 in that order, with empty strings for the optional benefit fields. Each row
-parses in one expression and builds its record through the same checks as the
-constructor; only a row that fails to parse is walked column by column, to name
-its first bad field.
+parses in one expression (the text columns stripped; int() and float() skip the
+whitespace around a number) and builds its record through the same checks as
+the constructor; only a row that fails to parse is walked column by column, to
+name its first bad field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import io
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -43,6 +46,10 @@ class Region(enum.Enum):
 
     def __str__(self) -> str:  # csv.writer writes str() of a non-string field
         return self.value
+
+    # members are singletons and equal only to themselves: hash by identity, in C, where
+    # Enum hashes the name in Python (a dict keyed by region does so per lookup)
+    __hash__ = object.__hash__
 
 
 class _RecordFields(NamedTuple):
@@ -87,22 +94,31 @@ class ProjectRecord(_RecordFields):
 def _check(values) -> None:
     """Raise InputError for the first invalid field of a record's 12 values: costs and
     months positive and finite, the year in [1900, 2100], benefits, when given, finite,
-    and last the two ratios finite, so a row with another fault keeps that diagnostic."""
+    and last the two ratios finite, so a row with another fault keeps that diagnostic.
+    A valid record passes in one expression; only a failing one walks the checks, which
+    test each field by the same comparison, to name its fault."""
     year, est_cost, act_cost, est_months, act_months, est_benefit, act_benefit = values[5:]
+    inf = math.inf
+    if (0.0 < est_cost < inf and 0.0 < act_cost < inf and 0.0 < est_months < inf
+            and 0.0 < act_months < inf and 1900 <= year <= 2100
+            and (est_benefit is None or -inf < est_benefit < inf)
+            and (act_benefit is None or -inf < act_benefit < inf)
+            and act_cost / est_cost < inf and act_months / est_months < inf):
+        return
     for label, value in (("est_cost", est_cost), ("act_cost", act_cost),
                          ("est_months", est_months), ("act_months", act_months)):
-        if not (math.isfinite(value) and value > 0):
+        if not 0.0 < value < inf:  # NaN fails too
             raise InputError(f"{label} must be a positive number, got {value}")
     if not 1900 <= year <= 2100:
         raise InputError(f"decision_year must be in [1900, 2100], got {year}")
     # half-specified benefit fields are allowed; benefit statistics
     # exclude such records pairwise
     for label, value in (("est_benefit", est_benefit), ("act_benefit", act_benefit)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not -inf < value < inf:
             raise InputError(f"{label} must be a finite number, got {value}")
-    if not act_cost / est_cost < math.inf:  # positive finite floats: never NaN
+    if not act_cost / est_cost < inf:  # positive finite floats: never NaN
         raise InputError("act_cost / est_cost overflows the float range")
-    if not act_months / est_months < math.inf:
+    if not act_months / est_months < inf:
         raise InputError("act_months / est_months overflows the float range")
 
 
@@ -111,12 +127,12 @@ CSV_COLUMNS = ProjectRecord._fields
 
 def cost_overrun_ratio(rec: ProjectRecord) -> float:
     """Actual outturn cost as a ratio of estimated cost."""
-    return rec.act_cost / rec.est_cost
+    return _metric_ratios((rec,), "cost")[0]
 
 
 def schedule_slippage(rec: ProjectRecord) -> float:
     """Actual implementation months as a ratio of estimated months."""
-    return rec.act_months / rec.est_months
+    return _metric_ratios((rec,), "schedule")[0]
 
 
 def benefit_ratio(rec: ProjectRecord) -> float | None:
@@ -128,18 +144,20 @@ def benefit_ratio(rec: ProjectRecord) -> float | None:
     return rec.act_benefit / rec.est_benefit
 
 
-_METRICS = {
-    "cost": cost_overrun_ratio,
-    "schedule": schedule_slippage,
-    "benefit": benefit_ratio,
-}
+# the (actual, estimated) columns of each column-ratio metric: its ratio is actual / estimated
+_RATIO_COLUMNS = {"cost": (7, 6), "schedule": (9, 8)}
 
 
-def _metric(metric: str):
-    """The per-record ratio function of a metric name."""
-    if metric not in _METRICS:
-        raise InputError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
-    return _METRICS[metric]
+def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float | None]:
+    """Each record's ratio for a metric name, in record order: cost and schedule by
+    column, benefit per record (None where a record has no benefit data)."""
+    if metric in _RATIO_COLUMNS:
+        actual, estimated = _RATIO_COLUMNS[metric]
+        return list(map(truediv, map(itemgetter(actual), records),
+                        map(itemgetter(estimated), records)))
+    if metric == "benefit":
+        return list(map(benefit_ratio, records))
+    raise InputError(f"unknown metric {metric!r}; expected one of ['benefit', 'cost', 'schedule']")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +168,9 @@ class ReferenceClass:
     label: str = ""
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        if len(set(map(itemgetter(0), self.records))) == len(self.records):
+            return
+        seen: set[str] = set()  # some id repeats: name the first that does
         for rec in self.records:
             if rec.id in seen:
                 raise InputError(f"duplicate record id {rec.id!r}")
@@ -162,7 +182,8 @@ class ReferenceClass:
     def ratios(self, metric: str) -> list[float]:
         """Per-record ratios for a metric; records without data are skipped
         (only possible for the benefit metric)."""
-        return [r for r in map(_metric(metric), self.records) if r is not None]
+        ratios = _metric_ratios(self.records, metric)
+        return [r for r in ratios if r is not None] if metric == "benefit" else ratios
 
 
 def deflate(
@@ -209,9 +230,14 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise InputError(f"quantile level must be in [0, 1], got {p}")
+    return sorted_quantile(_sorted_finite(values), ps)
+
+
+def _sorted_finite(values: Sequence[float]) -> list[float]:
+    """sorted(values), once every value is checked finite."""
     if not all(map(math.isfinite, values)):
         raise InputError("quantile of a sample with a NaN or infinite value")
-    return sorted_quantile(sorted(values), ps)
+    return sorted(values)
 
 
 def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
@@ -269,8 +295,8 @@ def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     """Every figure from one sorted list: the quantiles by position, the shares by bisection."""
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
-    n, s = len(ratios), sorted(ratios)
-    median, q25, q75, *qs = quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
+    n, s = len(ratios), _sorted_finite(ratios)
+    median, q25, q75, *qs = sorted_quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
     return SummaryStats(
         n=n,
         mean=checked_fsum(ratios) / n,
@@ -286,25 +312,27 @@ def decade_label(year: int) -> str:
     return f"{year // 10 * 10}s"
 
 
+# per group key: each record's group, read off one column, and a group's label
 _GROUP_KEYS = {
-    "region": lambda r: r.region.value,
-    "project_type": lambda r: r.project_type,
-    "decade": lambda r: decade_label(r.decision_year),
+    "region": (lambda records: map(itemgetter(3), records), attrgetter("value")),
+    "project_type": (lambda records: map(itemgetter(4), records), lambda kind: kind),
+    "decade": (lambda records: [year // 10 for year in map(itemgetter(5), records)],
+               lambda decade: decade_label(10 * decade)),
 }
 
 
 def group_ratios(ref: ReferenceClass, key: str, metric: str = "cost") -> dict[str, list[float]]:
-    """A metric's ratios per group, in one pass over the records: groups in
-    sorted order, records without data skipped, empty groups left out."""
+    """A metric's ratios per group, in one pass over the records: groups in sorted
+    order, records in record order within each, records without data skipped,
+    empty groups left out."""
     if key not in _GROUP_KEYS:
         raise InputError(f"unknown group key {key!r}; expected one of {sorted(_GROUP_KEYS)}")
-    key_fn, ratio_fn = _GROUP_KEYS[key], _metric(metric)
-    groups: dict[str, list[float]] = {}
-    for rec in ref.records:
-        ratio = ratio_fn(rec)
+    column, label = _GROUP_KEYS[key]
+    groups = defaultdict(list)
+    for group, ratio in zip(column(ref.records), _metric_ratios(ref.records, metric)):
         if ratio is not None:
-            groups.setdefault(key_fn(rec), []).append(ratio)
-    return {g: groups[g] for g in sorted(groups)}
+            groups[group].append(ratio)
+    return dict(sorted((label(group), ratios) for group, ratios in groups.items()))
 
 
 def group_stats(
@@ -382,10 +410,11 @@ def _parse_row(fields: list[str], line: int) -> ProjectRecord | RowError:
     raises goes through _parse_columns, which names its first bad field."""
     if len(fields) < len(CSV_COLUMNS):
         return RowError(line, CSV_COLUMNS[len(fields)], "missing column value")
-    id_, name, country, region, kind, year, ec, ac, em, am, eb, ab = map(str.strip, fields[:12])
-    try:
-        values = (id_, name, country, _REGIONS[region], kind, int(year), float(ec), float(ac),
-                  float(em), float(am), float(eb) if eb else None, float(ab) if ab else None)
+    id_, name, country, region, kind, year, ec, ac, em, am, eb, ab = fields[:12]
+    try:  # only text is stripped: int() and float() skip the whitespace around a number
+        values = (id_.strip(), name.strip(), country.strip(), _REGIONS[region.strip()],
+                  kind.strip(), int(year), float(ec), float(ac), float(em), float(am),
+                  float(eb) if eb else None, float(ab) if ab else None)
     except (KeyError, ValueError):
         return _parse_columns(fields, line)
     return _record(values, line)

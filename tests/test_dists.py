@@ -387,6 +387,40 @@ def test_partial_mean_matches_quadrature(canonical_dist):
         assert canonical_dist.partial_mean(p_hi) == pytest.approx(value, rel=1e-5)
 
 
+def _partial_mean_mp(dist, p):
+    """The integral of the piecewise inverse CDF over (0, p) at float level p, in closed
+    form by mpmath at 50 digits: a segment's quantile is xa e^(s t) for s in (0, 1)."""
+    ps, xs = (tuple(map(mpmath.mpf, nodes)) for nodes in dist._nodes())
+    p, total = mpmath.mpf(p), mpmath.mpf(0)
+    for pa, xa, pb, xb in zip(ps, xs, ps[1:], xs[1:]):
+        top = min(p, pb)
+        t = (top - pa) / (pb - pa) * mpmath.log(xb / xa)
+        total += (top - pa) * xa * mpmath.expm1(t) / t
+        if p <= pb:
+            return total
+    q = (p - ps[-1]) / (1 - ps[-1])
+    shape, scale = mpmath.mpf(dist.tail.shape), mpmath.mpf(dist.tail.scale)
+    excess = scale / shape * ((1 - (1 - q) ** (1 - shape)) / (1 - shape) - q)
+    return total + (1 - ps[-1]) * (xs[-1] * q + excess)
+
+
+@pytest.mark.parametrize("name", ["big-dam", "big-dam-schedule"])
+def test_partial_mean_just_above_a_node_within_3_ulps_of_50_digit_oracle(name):
+    # a partial segment's mean was (x_top - xa) / log(x_top / xa), which cancels as
+    # x_top nears xa: 1.3e14 ulps off just above the floor. Measured worst here: 0.88
+    # (big-dam) and 1.55 (schedule) ulps, and 2.07 and 2.43 at 3,000 random levels
+    dist = resolve_dist(name)
+    levels = [math.nextafter(node, 1.0) if d == 0.0 else node + d
+              for node in dist._nodes()[0] for d in (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4)]
+    levels += _rng.uniforms(7, 1, 0, 40).tolist()
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p in levels:
+            exact = _partial_mean_mp(dist, p)
+            worst = max(worst, float(abs(dist.partial_mean(p) - exact)) / math.ulp(float(exact)))
+    assert worst <= 3.0, worst
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -137,6 +137,13 @@ def test_duplicate_ids_rejected():
         ReferenceClass((rec, rec))
 
 
+def test_duplicate_id_message_names_the_first_repeat():
+    records = tuple(make_record(i) for i in (1, 2, 3, 2, 1))
+    with pytest.raises(InputError, match=r"^duplicate record id 'P002'$"):
+        ReferenceClass(records)
+    assert len(ReferenceClass(records[:3])) == 3
+
+
 # ---------------------------------------------------------------------------
 # deflate
 
@@ -739,6 +746,9 @@ def _with(**columns):
     return row
 
 
+_SEPARATORS_AND_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f", "\u00a0", "\u2028", "\u3000", " \t\r\n")
+
+
 def _differential_rows():
     rows = [list(_VALID_ROW), [*_VALID_ROW, "surplus", ""]]
     for i, bad in enumerate(_BAD_VALUES):
@@ -759,6 +769,17 @@ def _differential_rows():
         _with(decision_year="\u0661\u0669\u0669\u0660"),  # int() reads any Unicode digits
         *[_with(region=r) for r in ("europe", " Europe ", "Europe\t", "\tEurope", "Europe\n",
                                    "Oceania", "SouthAmerica", "South America", "")],
+        # only the text columns are stripped before the one-expression parse: a benefit of
+        # whitespace alone reaches float() unstripped, and int() and float() skip all the
+        # whitespace str.strip() removes but the separators \x1c-\x1f
+        *[_with(**{column: ws}) for column in ("est_benefit", "act_benefit") for ws in (" ", "\t")],
+        _with(est_benefit=" ", act_benefit="\t"),
+        *[_with(**{column: f"{ws}{_VALID_ROW[i]}{ws}"}) for i, column in enumerate(CSV_COLUMNS)
+          for ws in _SEPARATORS_AND_SPACES],
+        *[_with(**{column: f"{ws}abc"}) for column in ("name", "est_cost") for ws in _SEPARATORS_AND_SPACES],
+        _with(decision_year="\u30001850\u3000", est_cost="\x1c0", act_benefit="\u2028nan"),
+        _with(decision_year="1_990", est_months="6_0", act_months=" 8_0\t", est_benefit="1_000"),
+        _with(decision_year="19_90_", est_cost="1__000"),
     ]
     return rows
 
@@ -776,6 +797,69 @@ def test_parse_row_matches_the_column_by_column_oracle():
             assert got == want and [type(v) for v in got] == [type(v) for v in want], fields
             outcomes["record"] += 1
     assert min(outcomes.values()) >= 10, outcomes  # the table reaches every kind of outcome
+
+
+def _check_walk_oracle(values):
+    """The message of the first labelled check a record's values fail, or None: the
+    checks of _check one at a time, in its order, as they read before its one-expression
+    pass (math.isfinite for finiteness)."""
+    year, est_cost, act_cost, est_months, act_months, est_benefit, act_benefit = values[5:]
+    for label, value in (("est_cost", est_cost), ("act_cost", act_cost),
+                         ("est_months", est_months), ("act_months", act_months)):
+        if not (math.isfinite(value) and value > 0):
+            return f"{label} must be a positive number, got {value}"
+    if not 1900 <= year <= 2100:
+        return f"decision_year must be in [1900, 2100], got {year}"
+    for label, value in (("est_benefit", est_benefit), ("act_benefit", act_benefit)):
+        if value is not None and not math.isfinite(value):
+            return f"{label} must be a finite number, got {value}"
+    if not act_cost / est_cost < math.inf:
+        return "act_cost / est_cost overflows the float range"
+    if not act_months / est_months < math.inf:
+        return "act_months / est_months overflows the float range"
+    return None
+
+
+def _check_cases():
+    """The values of every differential row whose columns all parse (the records and
+    record faults the parse hands to _check), then faults no CSV row spells."""
+    import fragilis.refclass as rc
+
+    cases = []
+    for fields in filter(lambda fields: len(fields) >= len(CSV_COLUMNS), _differential_rows()):
+        try:
+            cases.append(tuple(parse(raw.strip()) for raw, (parse, _) in zip(fields, rc._COLUMN_PARSERS)))
+        except ValueError:
+            continue
+    valid = cases[0]
+    for est_benefit, act_benefit in ((math.nan, 4.0), (5.0, math.nan), (math.nan, None),
+                                     (None, -math.nan), (-0.0, 1e308)):
+        cases.append((*valid[:10], est_benefit, act_benefit))
+    for costs_and_months in ((5e-324, 1.0, 60.0, 80.0), (1.0, 5e-324, 60.0, 80.0),
+                             (-0.0, 1.0, 60.0, 80.0), (1e-308, 1e300, 1e-308, 1e300),
+                             (100.0, 150.0, 5e-324, 1e300), (1.0, math.inf, 1e-300, 1e300)):
+        cases.append((*valid[:6], *costs_and_months, *valid[10:]))
+    cases += [(*valid[:5], year, *valid[6:]) for year in (1899, 1900, 2100, 2101, 1990.5)]
+    return cases
+
+
+@pytest.mark.parametrize("values", _check_cases())
+def test_check_passes_exactly_what_its_walk_accepts(values):
+    import fragilis.refclass as rc
+
+    want = _check_walk_oracle(values)
+    try:
+        rc._check(values)
+    except InputError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+
+
+def test_check_cases_reach_every_check():
+    failed = {_check_walk_oracle(values) for values in _check_cases()} - {None}
+    # the four costs and months, the year, the two benefits and the two ratios
+    assert len({message.split(" must ")[0] for message in failed}) == 9, failed
 
 
 def test_csv_spaced_header_ingests_rows():

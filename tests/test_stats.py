@@ -210,6 +210,27 @@ def test_kde_windows_match_the_dense_form_bit_for_bit(sample, bandwidth):
     assert any(trace.density)
 
 
+def test_kde_window_edge_matches_the_dense_form_bit_for_bit():
+    # a sample spanning [0, 63.75] at h = 2**-6 puts the grid on exact multiples of 8 h,
+    # so each probe sits k bandwidths from its own grid row and 120 h from any other probe
+    h = 2.0 ** -6
+    grid = np.linspace(-4 * h, 63.75 + 4 * h, 512).tolist()
+    probes = {}  # grid row: its one probe within 40 h
+    for j, k in enumerate((38.6, 38.7, 39.0, 40.0)):
+        probes[40 + 20 * j] = grid[40 + 20 * j] + k * h
+        probes[140 + 20 * j] = grid[140 + 20 * j] - k * h
+    probes[300] = grid[300] + 38.7 * h  # on the window's bound fl(g + fl(38.7 h))
+    probes[320] = math.nextafter(grid[320] + 38.7 * h, math.inf)  # one float past it
+    sample = np.random.default_rng(34).permutation([0.0, 63.75, *probes.values()])
+    trace = kde(sample, h)
+    assert list(trace.grid) == grid
+    dense = _dense_kde_oracle(sample, trace.grid, h)
+    assert [d.hex() for d in trace.density] == [d.hex() for d in dense]
+    # a kernel 38.6 h out is exp's smallest subnormal, the row's only nonzero term;
+    # from 38.7 h out every kernel is 0.0
+    assert [trace.density[i] > 0.0 for i in probes] == [True, True] + [False] * 8
+
+
 def test_kde_peak_memory_is_one_row():
     # a dense 512 x 10,000 distance matrix alone is 39 MiB, and one row of it 78 KiB
     sample = _overrun_sample(10_000)
