@@ -91,48 +91,55 @@ class ProjectRecord(_RecordFields):
         return cls(*iterable)
 
 
+# the largest float: a cost, month count or benefit past it (an infinity, or a whole
+# number that no float holds) is out of range; NaN fails every comparison with it
+_FLOAT_MAX = sys.float_info.max
+
+
 def _check(values) -> None:
     """Raise InputError for the first invalid field of a record's 12 values: costs and
-    months positive and finite, the year in [1900, 2100], benefits, when given, finite,
-    and last the two ratios finite, so a row with another fault keeps that diagnostic.
-    A valid record passes in one expression; only a failing one walks the checks, which
-    test each field by the same comparison, to name its fault."""
+    months positive and in the float range, the year in [1900, 2100], benefits, when
+    given, in the float range, and last the two ratios finite, so a row with another
+    fault keeps that diagnostic."""
     year, est_cost, act_cost, est_months, act_months, est_benefit, act_benefit = values[5:]
-    inf = math.inf
-    if (0.0 < est_cost < inf and 0.0 < act_cost < inf and 0.0 < est_months < inf
-            and 0.0 < act_months < inf and 1900 <= year <= 2100
-            and (est_benefit is None or -inf < est_benefit < inf)
-            and (act_benefit is None or -inf < act_benefit < inf)
-            and act_cost / est_cost < inf and act_months / est_months < inf):
-        return
-    for label, value in (("est_cost", est_cost), ("act_cost", act_cost),
-                         ("est_months", est_months), ("act_months", act_months)):
-        if not 0.0 < value < inf:  # NaN fails too
-            raise InputError(f"{label} must be a positive number, got {value}")
+    if not 0.0 < est_cost <= _FLOAT_MAX:
+        raise InputError(f"est_cost must be a positive number, got {est_cost}")
+    if not 0.0 < act_cost <= _FLOAT_MAX:
+        raise InputError(f"act_cost must be a positive number, got {act_cost}")
+    if not 0.0 < est_months <= _FLOAT_MAX:
+        raise InputError(f"est_months must be a positive number, got {est_months}")
+    if not 0.0 < act_months <= _FLOAT_MAX:
+        raise InputError(f"act_months must be a positive number, got {act_months}")
     if not 1900 <= year <= 2100:
         raise InputError(f"decision_year must be in [1900, 2100], got {year}")
     # half-specified benefit fields are allowed; benefit statistics
     # exclude such records pairwise
-    for label, value in (("est_benefit", est_benefit), ("act_benefit", act_benefit)):
-        if value is not None and not -inf < value < inf:
-            raise InputError(f"{label} must be a finite number, got {value}")
-    if not act_cost / est_cost < inf:  # positive finite floats: never NaN
+    if est_benefit is not None and not -_FLOAT_MAX <= est_benefit <= _FLOAT_MAX:
+        raise InputError(f"est_benefit must be a finite number, got {est_benefit}")
+    if act_benefit is not None and not -_FLOAT_MAX <= act_benefit <= _FLOAT_MAX:
+        raise InputError(f"act_benefit must be a finite number, got {act_benefit}")
+    if not act_cost / est_cost < math.inf:  # positive and in range: never NaN
         raise InputError("act_cost / est_cost overflows the float range")
-    if not act_months / est_months < inf:
+    if not act_months / est_months < math.inf:
         raise InputError("act_months / est_months overflows the float range")
 
 
 CSV_COLUMNS = ProjectRecord._fields
 
+# the (actual, estimated) columns of each column-ratio metric: its ratio is actual / estimated
+_RATIO_COLUMNS = {"cost": (7, 6), "schedule": (9, 8)}
+
 
 def cost_overrun_ratio(rec: ProjectRecord) -> float:
     """Actual outturn cost as a ratio of estimated cost."""
-    return _metric_ratios((rec,), "cost")[0]
+    actual, estimated = _RATIO_COLUMNS["cost"]
+    return rec[actual] / rec[estimated]
 
 
 def schedule_slippage(rec: ProjectRecord) -> float:
     """Actual implementation months as a ratio of estimated months."""
-    return _metric_ratios((rec,), "schedule")[0]
+    actual, estimated = _RATIO_COLUMNS["schedule"]
+    return rec[actual] / rec[estimated]
 
 
 def benefit_ratio(rec: ProjectRecord) -> float | None:
@@ -144,10 +151,6 @@ def benefit_ratio(rec: ProjectRecord) -> float | None:
     return rec.act_benefit / rec.est_benefit
 
 
-# the (actual, estimated) columns of each column-ratio metric: its ratio is actual / estimated
-_RATIO_COLUMNS = {"cost": (7, 6), "schedule": (9, 8)}
-
-
 def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float | None]:
     """Each record's ratio for a metric name, in record order: cost and schedule by
     column, benefit per record (None where a record has no benefit data)."""
@@ -157,7 +160,8 @@ def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float 
                         map(itemgetter(estimated), records)))
     if metric == "benefit":
         return list(map(benefit_ratio, records))
-    raise InputError(f"unknown metric {metric!r}; expected one of ['benefit', 'cost', 'schedule']")
+    raise InputError(f"unknown metric {metric!r}; "
+                     f"expected one of {sorted([*_RATIO_COLUMNS, 'benefit'])}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +187,7 @@ class ReferenceClass:
         """Per-record ratios for a metric; records without data are skipped
         (only possible for the benefit metric)."""
         ratios = _metric_ratios(self.records, metric)
-        return [r for r in ratios if r is not None] if metric == "benefit" else ratios
+        return ratios if metric in _RATIO_COLUMNS else [r for r in ratios if r is not None]
 
 
 def deflate(
@@ -230,14 +234,9 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise InputError(f"quantile level must be in [0, 1], got {p}")
-    return sorted_quantile(_sorted_finite(values), ps)
-
-
-def _sorted_finite(values: Sequence[float]) -> list[float]:
-    """sorted(values), once every value is checked finite."""
     if not all(map(math.isfinite, values)):
         raise InputError("quantile of a sample with a NaN or infinite value")
-    return sorted(values)
+    return sorted_quantile(sorted(values), ps)
 
 
 def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
@@ -295,8 +294,8 @@ def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     """Every figure from one sorted list: the quantiles by position, the shares by bisection."""
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
-    n, s = len(ratios), _sorted_finite(ratios)
-    median, q25, q75, *qs = sorted_quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
+    n, s = len(ratios), sorted(ratios)
+    median, q25, q75, *qs = quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
     return SummaryStats(
         n=n,
         mean=checked_fsum(ratios) / n,

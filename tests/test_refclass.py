@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -799,19 +800,27 @@ def test_parse_row_matches_the_column_by_column_oracle():
     assert min(outcomes.values()) >= 10, outcomes  # the table reaches every kind of outcome
 
 
+def _in_float_range(value):
+    """math.isfinite, extended to whole numbers: one past the largest float is out of range
+    (where math.isfinite would raise OverflowError or round it to the largest float)."""
+    if isinstance(value, int):
+        return abs(value) <= int(sys.float_info.max)
+    return math.isfinite(value)
+
+
 def _check_walk_oracle(values):
     """The message of the first labelled check a record's values fail, or None: the
-    checks of _check one at a time, in its order, as they read before its one-expression
-    pass (math.isfinite for finiteness)."""
+    checks of _check one at a time, in its order, with finiteness tested by
+    _in_float_range rather than by _check's comparisons."""
     year, est_cost, act_cost, est_months, act_months, est_benefit, act_benefit = values[5:]
     for label, value in (("est_cost", est_cost), ("act_cost", act_cost),
                          ("est_months", est_months), ("act_months", act_months)):
-        if not (math.isfinite(value) and value > 0):
+        if not (_in_float_range(value) and value > 0):
             return f"{label} must be a positive number, got {value}"
     if not 1900 <= year <= 2100:
         return f"decision_year must be in [1900, 2100], got {year}"
     for label, value in (("est_benefit", est_benefit), ("act_benefit", act_benefit)):
-        if value is not None and not math.isfinite(value):
+        if value is not None and not _in_float_range(value):
             return f"{label} must be a finite number, got {value}"
     if not act_cost / est_cost < math.inf:
         return "act_cost / est_cost overflows the float range"
@@ -833,11 +842,15 @@ def _check_cases():
             continue
     valid = cases[0]
     for est_benefit, act_benefit in ((math.nan, 4.0), (5.0, math.nan), (math.nan, None),
-                                     (None, -math.nan), (-0.0, 1e308)):
+                                     (None, -math.nan), (-0.0, 1e308), (10**400, 4.0),
+                                     (5.0, -(10**400)), (-int(sys.float_info.max), 2)):
         cases.append((*valid[:10], est_benefit, act_benefit))
     for costs_and_months in ((5e-324, 1.0, 60.0, 80.0), (1.0, 5e-324, 60.0, 80.0),
                              (-0.0, 1.0, 60.0, 80.0), (1e-308, 1e300, 1e-308, 1e300),
-                             (100.0, 150.0, 5e-324, 1e300), (1.0, math.inf, 1e-300, 1e300)):
+                             (100.0, 150.0, 5e-324, 1e300), (1.0, math.inf, 1e-300, 1e300),
+                             (10**400, 10**400, 60.0, 80.0), (1, 10**400, 60, 80),
+                             (1, int(sys.float_info.max), 60, 80),
+                             (1, int(sys.float_info.max) + 1, 60, 80), (2, 3, 4, 5)):
         cases.append((*valid[:6], *costs_and_months, *valid[10:]))
     cases += [(*valid[:5], year, *valid[6:]) for year in (1899, 1900, 2100, 2101, 1990.5)]
     return cases
