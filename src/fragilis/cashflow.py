@@ -26,12 +26,12 @@ All types are immutable; all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import ComputeError, InputError, finite, load_json
+from .errors import ComputeError, InputError, checked, finite, load_json
 
 IRR_BRACKET = (-0.99, 10.0)
 _IRR_SCAN_SEGMENTS = 512
@@ -44,8 +44,8 @@ def discount_factor(rate: float, t: float) -> float:
     return CashFlowStream(((t, 1.0),)).present_value(rate)
 
 
-@dataclass(frozen=True, slots=True)
-class CashFlowStream:
+@checked
+class CashFlowStream(NamedTuple):
     """Dated amounts in constant base-year currency.
 
     Entries are (time in years from the decision date, amount) pairs, kept
@@ -56,7 +56,7 @@ class CashFlowStream:
 
     entries: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         prev_t = -math.inf
         for t, amount in self.entries:
             if not (math.isfinite(t) and math.isfinite(amount)):
@@ -100,7 +100,6 @@ def _require_nonnegative(stream: CashFlowStream, role: str) -> None:
             raise InputError(f"{role} amounts must be >= 0, got {a} at t={t}")
 
 
-@dataclass(frozen=True, slots=True)
 class AppraisalModel:
     """A project's real cash flows plus its real discount rate.
 
@@ -111,17 +110,18 @@ class AppraisalModel:
     pv_benefits, pv_capex and pv_om (B, C, O) are the streams' present values
     at discount_rate, computed once after the amount checks; the first one
     rejects a rate at or below -1. They are derived, so they take no part in
-    equality or repr.
+    equality, hashing, repr or pickling. A model is immutable.
     """
 
-    capex: CashFlowStream
-    benefits: CashFlowStream
-    discount_rate: float
-    om_costs: CashFlowStream = CashFlowStream(())
-    base_year: int = 0
-    pv_benefits: float = field(init=False, repr=False, compare=False)
-    pv_capex: float = field(init=False, repr=False, compare=False)
-    pv_om: float = field(init=False, repr=False, compare=False)
+    _fields = ("capex", "benefits", "discount_rate", "om_costs", "base_year")
+    __slots__ = (*_fields, "pv_benefits", "pv_capex", "pv_om")
+    _values = property(attrgetter(*_fields))
+
+    def __init__(self, capex: CashFlowStream, benefits: CashFlowStream, discount_rate: float,
+                 om_costs: CashFlowStream = CashFlowStream(()), base_year: int = 0) -> None:
+        for name, value in zip(self._fields, (capex, benefits, discount_rate, om_costs, base_year)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()  # perfbench counts model builds at this name
 
     def __post_init__(self) -> None:
         _require_nonnegative(self.capex, "capex")
@@ -135,6 +135,24 @@ class AppraisalModel:
                       lambda: math.fsum((self.pv_capex, self.pv_om)))
         if not pain > 0.0:
             raise InputError("present value of total pain must be positive")
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):  # unpickling and copying build through the constructor
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def npv(model: AppraisalModel) -> float:
@@ -199,8 +217,7 @@ def _bisect(f, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True, slots=True)
-class PayoffCurve:
+class PayoffCurve(NamedTuple):
     """Sorted, discounted gain and pain amounts with their running totals.
 
     fragility_index is the 0-based event count at which cumulative pain first
@@ -318,8 +335,7 @@ def break_even_delay(model: AppraisalModel) -> BreakEvenDelay:
     return BreakEvenDelay(years, False)
 
 
-@dataclass(frozen=True, slots=True)
-class AppraisalResult:
+class AppraisalResult(NamedTuple):
     """Headline appraisal figures for one model.
 
     break_even_delay is None when BCR <= 1 (already at or past the threshold)
@@ -341,14 +357,8 @@ def appraise(model: AppraisalModel, benefit_shortfall: float = 0.0) -> Appraisal
     overrun = break_even_overrun(model, benefit_shortfall)
     delay = break_even_delay(model)
     d_star = None if delay.already_at_threshold else delay.years
-    return AppraisalResult(
-        npv=npv(model),
-        bcr=bcr(model),
-        irr=irr(net_stream(model)),
-        break_even_overrun=overrun.k_star,
-        break_even_delay=d_star,
-        broken_regardless_of_capex=overrun.broken_regardless,
-    )
+    return AppraisalResult(npv(model), bcr(model), irr(net_stream(model)), overrun.k_star,
+                           d_star, overrun.broken_regardless)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ computes with (beyond cli and errors):
 main sets each JSON artifact's source to the first input, renders it with
 allow_nan=False (a non-finite number is a computation error) and only then
 creates --out and writes the artifacts and the run manifest (provenance and
-how the run went; see _manifest). A command that fails writes nothing.
-Exit codes: 0 success, 2 validation error, 3 computation error.
+how the run went; see _manifest). A command that fails before the first write
+writes nothing; an OSError partway through the writes can leave earlier files.
+Exit codes: 0 success, 2 validation error, 3 computation error or out of memory.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import secrets
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,6 +58,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _timestamp(ns: int) -> str:
+    """ns nanoseconds after the epoch as datetime.isoformat writes it in UTC, without loading
+    datetime: YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00, the fraction only if not 0 microseconds."""
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    fraction = f".{micros:06d}" if micros else ""
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}{fraction}+00:00"
+
+
 def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
     """manifest-<command>.json: provenance (command line, input digests, seed,
     version, timestamp) and how the run went (wall time, peak RSS so far,
@@ -84,7 +91,7 @@ def _manifest(args, inputs: list[Path], wall_s: float) -> dict:
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _timestamp(time.time_ns()),
         "run": run,
     }
 
@@ -128,8 +135,6 @@ def _load_model(args) -> tuple[AppraisalModel, Path]:
 
 
 def cmd_ingest(args) -> _Run:
-    from dataclasses import asdict
-
     from .refclass import read_records_csv
 
     path = _input_file(args.records, "records")
@@ -138,7 +143,7 @@ def cmd_ingest(args) -> _Run:
         "label": result.reference_class.label,
         "n_accepted": result.n_accepted,
         "n_skipped": result.n_skipped,
-        "errors": [asdict(e) for e in result.errors],
+        "errors": [{"row": e.row, "field": e.field, "message": e.message} for e in result.errors],
     }
     summary = f"ingested {result.n_accepted} records ({result.n_skipped} skipped)"
     return [path], {"ingest.json": doc}, summary
@@ -221,13 +226,11 @@ def cmd_test(args) -> _Run:
 
 
 def cmd_appraise(args) -> _Run:
-    from dataclasses import asdict
-
     from .cashflow import appraise
 
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
-    doc = {**asdict(result), "benefit_shortfall": args.shortfall}
+    doc = {**result._asdict(), "benefit_shortfall": args.shortfall}
     artifacts = {"appraisal.json": doc}
     if args.format == "svg":
         from . import charts
@@ -257,15 +260,10 @@ def cmd_stress(args) -> _Run:
         datasets.resolve_dist(args.shortfall_dist) if args.shortfall_dist else args.shortfall
     )
     if args.seed is None:
+        import secrets  # ~1 ms of start-up that no other command needs
         args.seed = secrets.randbits(63)
-    config = StressConfig(
-        n_trials=args.trials,
-        seed=args.seed,
-        capex_dist=capex_dist,
-        schedule_dist=schedule_dist,
-        est_duration_years=args.duration,
-        shortfall=shortfall,
-    )
+    config = StressConfig(args.trials, args.seed, capex_dist, schedule_dist, args.duration,
+                          shortfall)
     result = run_stress(model, config)
     doc = result.to_dict()
     doc["capex_dist"] = args.dist
@@ -293,8 +291,6 @@ def _parse_mults(raw: str, name: str) -> list[float]:
 
 
 def cmd_grid(args) -> _Run:
-    from dataclasses import asdict
-
     from .stress import sensitivity_grid
 
     model, path = _load_model(args)
@@ -304,7 +300,7 @@ def cmd_grid(args) -> _Run:
         cost_mults=_parse_mults(args.cost_mults, "--cost-mults"),
     )
     summary = f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells"
-    return [path], {"grid.json": asdict(grid), "grid.csv": grid.to_csv()}, summary
+    return [path], {"grid.json": grid._asdict(), "grid.csv": grid.to_csv()}, summary
 
 
 def cmd_contingency(args) -> _Run:
@@ -460,8 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputeError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+    except (ComputeError, MemoryError) as exc:
+        reason = f"{args.command} ran out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"computation error: {reason}", file=sys.stderr)
         return 3
     print(summary)
     return 0

@@ -43,15 +43,8 @@ _DIST_FILES = {
 }
 
 FIXTURE_SEED = 12
-_TAG_COST = 101
-_TAG_SLIP = 102
-_TAG_EST_COST = 103
-_TAG_EST_MONTHS = 104
-_TAG_REGION = 105
-_TAG_TYPE = 106
-_TAG_YEAR = 107
-_TAG_BEN_EST = 108
-_TAG_BEN_ACT = 109
+(_TAG_COST, _TAG_SLIP, _TAG_EST_COST, _TAG_EST_MONTHS, _TAG_REGION, _TAG_TYPE, _TAG_YEAR,
+ _TAG_BEN_EST, _TAG_BEN_ACT) = range(101, 110)
 
 
 def data_dir() -> Path:
@@ -107,14 +100,8 @@ STYLIZED_RATE = 0.11
 STYLIZED_LIFE_YEARS = 30
 STYLIZED_CAPEX = 1000.0
 
-BIG_DAM_ANCHORS = (
-    (0.25, 1.00),
-    (0.50, 1.27),
-    (0.53, 1.40),
-    (0.75, 1.86),
-    (0.80, 1.99),
-    (0.90, 3.07),
-)
+BIG_DAM_ANCHORS = ((0.25, 1.00), (0.50, 1.27), (0.53, 1.40), (0.75, 1.86), (0.80, 1.99),
+                   (0.90, 3.07))
 BIG_DAM_FLOOR = 0.4
 BIG_DAM_MEAN = 1.96
 
@@ -188,22 +175,10 @@ def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> Reference
             act_benefit = round(est_benefit * (0.70 + 0.45 * u(_TAG_BEN_ACT)), 1)
         else:
             est_benefit = act_benefit = None
-        records.append(
-            ProjectRecord(
-                id=f"SYN-{i + 1:03d}",
-                name=f"Synthetic Dam {i + 1:03d}",
-                country=countries[i % len(countries)],
-                region=Region(region),
-                project_type=_TYPE_POOL[type_idx],
-                decision_year=year,
-                est_cost=est_cost,
-                act_cost=act_cost,
-                est_months=est_months,
-                act_months=act_months,
-                est_benefit=est_benefit,
-                act_benefit=act_benefit,
-            )
-        )
+        records.append(ProjectRecord(  # the fields in CSV_COLUMNS order
+            f"SYN-{i + 1:03d}", f"Synthetic Dam {i + 1:03d}", countries[i % len(countries)],
+            Region(region), _TYPE_POOL[type_idx], year, est_cost, act_cost, est_months,
+            act_months, est_benefit, act_benefit))
     return ReferenceClass(tuple(records), label="synthetic-big-dams")
 
 

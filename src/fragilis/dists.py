@@ -19,17 +19,16 @@ can be checked against analytic values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import CalibrationError, InputError, load_json
+from .errors import CalibrationError, InputError, checked, load_json
 
 MAX_TAIL_SHAPE = 0.99  # calibrated shapes live in (0, 0.99); >= 1 means infinite mean
 
 
-@dataclass(frozen=True, slots=True)
-class GeneralizedParetoTail:
+@checked
+class GeneralizedParetoTail(NamedTuple):
     """GPD exceedance model above the last anchor.
 
     shape < 1 keeps the mean finite; negative shapes give a bounded tail with
@@ -39,7 +38,7 @@ class GeneralizedParetoTail:
     shape: float
     scale: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not -math.inf < self.shape < 1.0:
             raise InputError(f"tail shape must be finite and < 1, got {self.shape}")
         if not 0.0 < self.scale < math.inf:
@@ -77,8 +76,8 @@ class GeneralizedParetoTail:
         return self.scale / self.shape * ((1.0 - w ** (1.0 - self.shape)) / (1.0 - self.shape) - q)
 
 
-@dataclass(frozen=True, slots=True)
-class QuantileDistribution:
+@checked
+class QuantileDistribution(NamedTuple):
     """Distribution over positive ratios pinned to (probability, value) anchors.
 
     anchor_ps / anchor_xs are strictly increasing; floor_x is the value at
@@ -91,7 +90,7 @@ class QuantileDistribution:
     floor_x: float
     tail: GeneralizedParetoTail
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.anchor_ps:
             raise InputError("at least one anchor required")
         if len(self.anchor_ps) != len(self.anchor_xs):

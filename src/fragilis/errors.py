@@ -1,14 +1,16 @@
-"""Exception taxonomy shared by the library and the CLI, and its two checks.
+"""Exception taxonomy shared by the library and the CLI, and its checks.
 
-The CLI maps InputError to exit code 2 (validation) and ComputeError to
-exit code 3 (computation); everything else is a bug. finite is the overflow
-check on every scalar figure (run_stress checks its numpy sum itself) and
-checked_fsum on every sum over a sample; load_json reads every JSON
-document: each model, distribution and report artifact file.
+The CLI maps InputError to exit code 2 (validation), and ComputeError and
+MemoryError to exit code 3 (computation); everything else is a bug. finite
+is the overflow check on every scalar figure (run_stress checks its numpy
+sum itself) and checked_fsum on every sum over a sample; load_json reads
+every JSON document: each model, distribution and report artifact file.
+checked makes a named tuple validate every instance it builds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -55,6 +57,22 @@ def checked_fsum(terms) -> float:
     (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
     return finite("a sum or square of the sample overflows the float range",
                   lambda: math.fsum(terms))
+
+
+def checked(cls):
+    """Class decorator: every way of building the named tuple cls (the constructor, _make,
+    _replace, unpickling) runs its _check method, which raises on an invalid value."""
+    new = cls.__new__
+
+    @functools.wraps(new)  # the constructor keeps its signature
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    # namedtuple's own _make skips __new__, and _replace builds through _make
+    cls.__new__, cls._make = staticmethod(checked_new), classmethod(lambda c, it: c(*it))
+    return cls
 
 
 def _reject_constant(name: str) -> Any:

@@ -26,12 +26,12 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, checked_fsum, finite
+from .errors import InputError, checked, checked_fsum, finite
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -52,7 +52,19 @@ class Region(enum.Enum):
     __hash__ = object.__hash__
 
 
-class _RecordFields(NamedTuple):
+@checked
+class ProjectRecord(NamedTuple):
+    """One historical project: estimated vs actual cost and schedule.
+
+    Costs are in constant local currency with the decision year as base year;
+    schedules are months from decision to full commercial operation. Benefit
+    fields are optional (None when the project has no benefit data).
+
+    A record is an immutable tuple of its fields: it equals, hashes and iterates
+    as one. Every way of building one (the constructor, _make, _replace, unpickling)
+    runs _check.
+    """
+
     id: str
     name: str
     country: str
@@ -66,29 +78,8 @@ class _RecordFields(NamedTuple):
     est_benefit: float | None = None
     act_benefit: float | None = None
 
-
-class ProjectRecord(_RecordFields):
-    """One historical project: estimated vs actual cost and schedule.
-
-    Costs are in constant local currency with the decision year as base year;
-    schedules are months from decision to full commercial operation. Benefit
-    fields are optional (None when the project has no benefit data).
-
-    A record is an immutable tuple of its fields: it equals, hashes and iterates
-    as one. Every way of building one (the constructor, _make, _replace, unpickling)
-    runs _check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        rec = super().__new__(cls, *args, **kwargs)
-        _check(rec)
-        return rec
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's own skips __new__; _replace builds through this one
-        return cls(*iterable)
+    def _check(self) -> None:  # the module's _check, which _record runs on a parsed row too
+        _check(self)
 
 
 # the largest float: a cost, month count or benefit past it (an infinity, or a whole
@@ -164,21 +155,39 @@ def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float 
                      f"expected one of {sorted([*_RATIO_COLUMNS, 'benefit'])}")
 
 
-@dataclass(frozen=True, slots=True)
 class ReferenceClass:
-    """An immutable set of comparable historical projects."""
+    """An immutable set of comparable historical projects, with distinct ids. It equals,
+    hashes, pickles and reprs by its records and label; its len is the record count."""
 
-    records: tuple[ProjectRecord, ...]
-    label: str = ""
+    _fields = __slots__ = ("records", "label")
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self) -> None:
-        if len(set(map(itemgetter(0), self.records))) == len(self.records):
-            return
-        seen: set[str] = set()  # some id repeats: name the first that does
-        for rec in self.records:
-            if rec.id in seen:
-                raise InputError(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
+    def __init__(self, records: tuple[ProjectRecord, ...], label: str = "") -> None:
+        if len(set(map(itemgetter(0), records))) != len(records):
+            seen: set[str] = set()  # some id repeats: name the first that does
+            for rec in records:
+                if rec.id in seen:
+                    raise InputError(f"duplicate record id {rec.id!r}")
+                seen.add(rec.id)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(records={self.records!r}, label={self.label!r})"
+
+    def __reduce__(self):  # unpickling and copying build through the constructor
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.records)
@@ -258,8 +267,7 @@ def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Distribution summary of a reference-class metric."""
 
     n: int
@@ -271,7 +279,7 @@ class SummaryStats:
     share_breaking: dict[float, float]
 
     def to_dict(self) -> dict:  # JSON keys are strings: the two float-keyed maps take str(key)
-        return {**asdict(self), "quantiles": {str(p): x for p, x in self.quantiles.items()},
+        return {**self._asdict(), "quantiles": {str(p): x for p, x in self.quantiles.items()},
                 "share_breaking": {str(t): s for t, s in self.share_breaking.items()}}
 
 
@@ -370,8 +378,7 @@ class RowError:
         return f"row {self.row}, field {self.field!r}: {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     reference_class: ReferenceClass
     errors: tuple[RowError, ...]
 

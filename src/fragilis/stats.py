@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import ComputeError, DegenerateSampleError, InputError, checked_fsum, finite
 from .refclass import sorted_quantile
@@ -162,8 +162,7 @@ def kde(sample: Sequence[float], bandwidth: float | None = None) -> DensityTrace
 # Test results
 
 
-@dataclass(frozen=True, slots=True)
-class TestResult:
+class TestResult(NamedTuple):
     """A test statistic with its p-value and provenance.
 
     method is "exact" when the p-value comes from the exact reference
@@ -178,7 +177,7 @@ class TestResult:
     m: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +368,7 @@ def one_way_f(groups: Sequence[Sequence[float]]) -> TestResult:
     return TestResult(f_value, f_sf(f_value, df1, df2), "exact", total_n, k)
 
 
-@dataclass(frozen=True, slots=True)
-class TrendResult:
+class TrendResult(NamedTuple):
     """OLS slope of y on x with the F = t**2 test of a zero slope."""
 
     statistic: float  # F with (1, n-2) df
@@ -382,7 +380,7 @@ class TrendResult:
     r_squared: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _rng
 from .cashflow import AppraisalModel, bcr, irr, net_stream
 from .dists import QuantileDistribution
-from .errors import ComputeError, InputError
+from .errors import ComputeError, InputError, checked
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -63,8 +62,8 @@ dam with no root in any cell: every cell scans all 513 rates, 2.5-4.1 ms a cell;
 100 x 100 grid of them took 33 s (2 CPUs, Python 3.11)."""
 
 
-@dataclass(frozen=True, slots=True)
-class StressConfig:
+@checked
+class StressConfig(NamedTuple):
     """Inputs of one stress run.
 
     schedule_dist draws slippage ratios; delay years are derived as
@@ -81,7 +80,7 @@ class StressConfig:
     est_duration_years: float | None = None
     shortfall: float | QuantileDistribution = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise InputError(f"n_trials must be in [1, {MAX_TRIALS}], got {self.n_trials}")
         if self.schedule_dist is not None:
@@ -104,8 +103,7 @@ class StressConfig:
             raise InputError(f"fixed shortfall must be in [0, 1), got {self.shortfall}")
 
 
-@dataclass(frozen=True, slots=True)
-class StressResult:
+class StressResult(NamedTuple):
     """Aggregates of one stress run; npv_quantiles maps p to money."""
 
     p_break: float
@@ -117,7 +115,7 @@ class StressResult:
 
     def to_dict(self) -> dict:
         quantiles = {f"{p:g}": v for p, v in self.npv_quantiles.items()}
-        return {**asdict(self), "npv_quantiles": quantiles}
+        return {**self._asdict(), "npv_quantiles": quantiles}
 
     def quantiles_csv(self) -> str:
         lines = ["p,npv"]
@@ -208,8 +206,7 @@ def p_break_analytic(dist: QuantileDistribution, k_star: float) -> float:
     return 1.0 - dist.cdf(k_star)
 
 
-@dataclass(frozen=True, slots=True)
-class SensitivityGrid:
+class SensitivityGrid(NamedTuple):
     """Appraisal outcomes across joint benefit/cost multiplier scenarios.
 
     irr and bcr are tables with one row per cost mult and one column per
@@ -254,8 +251,7 @@ def sensitivity_grid(
     return SensitivityGrid(benefit_mults, cost_mults, irrs, bcrs)
 
 
-@dataclass(frozen=True, slots=True)
-class ContingencyResult:
+class ContingencyResult(NamedTuple):
     """Budget uplift sized to a coverage quantile of the overrun distribution."""
 
     coverage: float
@@ -264,7 +260,7 @@ class ContingencyResult:
     proceed: bool
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = self._asdict()
         doc["decision"] = "proceed" if doc.pop("proceed") else "do-not-proceed"
         return doc
 

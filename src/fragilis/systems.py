@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .errors import InputError
+from .errors import InputError, checked
 
 
-@dataclass(frozen=True, slots=True)
-class FragilityProfile:
+@checked
+class FragilityProfile(NamedTuple):
     """Threshold (abstract stressor units, finite, > 0); recoverability in [0, 1]."""
 
     threshold: float
     recoverability: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.threshold < math.inf:
             raise InputError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0.0 <= self.recoverability <= 1.0:
@@ -33,14 +32,14 @@ class FragilityProfile:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Cutoffs:
+@checked
+class Cutoffs(NamedTuple):
     """Axis cutoffs separating low from high; at-cutoff values count as high."""
 
     threshold: float
     recoverability: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0 < self.threshold < math.inf and 0 < self.recoverability < math.inf):
             raise InputError("cutoffs must be positive and finite")
 
@@ -57,8 +56,8 @@ def classify_quadrant(profile: FragilityProfile, cutoffs: Cutoffs) -> str:
                             for axis in ("threshold", "recoverability"))]
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionNode:
+@checked
+class CompositionNode(NamedTuple):
     """Interior node of the composition tree.
 
     kind "series" breaks when its weakest child breaks; kind "redundant"
@@ -69,7 +68,7 @@ class CompositionNode:
     kind: str
     children: tuple[Union[str, "CompositionNode"], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in ("series", "redundant"):
             raise InputError(f"node kind must be series or redundant, got {self.kind!r}")
         if not self.children:
@@ -83,14 +82,14 @@ def _walk(node: Union[str, CompositionNode]) -> Iterator[Union[str, CompositionN
         yield from _walk(child)
 
 
-@dataclass(frozen=True, slots=True)
-class SystemGraph:
+@checked
+class SystemGraph(NamedTuple):
     """Components plus the composition tree referencing each exactly once."""
 
     components: dict[str, FragilityProfile]
     root: CompositionNode
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.components:
             raise InputError("system graph needs at least one component")
         counts = Counter(node for node in _walk(self.root) if isinstance(node, str))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragilis import __version__, datasets, stress
+from fragilis import __version__, cli, datasets, stress
 from fragilis.cli import main
 from fragilis.errors import ComputeError
 from fragilis.refclass import read_records_csv
@@ -1025,16 +1026,22 @@ def _fresh_python(code: str, *argv: str) -> str:
 
 def test_cli_import_leaves_thread_pool_unloaded():
     # concurrent.futures costs every command ~5 ms of start-up, so run_stress imports it;
-    # fractions (with the decimal it loads) costs 3-4.5 ms, so payoff_curve sums in ints
-    heavy = ("concurrent.futures", "fractions", "decimal")
+    # fractions (with the decimal it loads) costs 3-4.5 ms, so payoff_curve sums in ints;
+    # dataclasses (with the inspect it loads) 7-11 ms, so no command-wide class is a dataclass;
+    # secrets ~1 ms, so only a seedless stress run loads it; datetime ~2 ms, so the manifest
+    # timestamp is written with time
+    heavy = ("concurrent.futures", "fractions", "decimal", "dataclasses", "inspect", "secrets",
+             "datetime")
     code = f"import sys, fragilis.cli; print([m for m in {heavy} if m in sys.modules])"
     assert _fresh_python(code) == "[]"
 
 
-# a command's exit code, whether the process loaded numpy, then the fragilis modules it loaded
+# a command's exit code, whether the process loaded numpy and dataclasses, then the fragilis
+# modules it loaded
 _CLI_LOADS_NUMPY = (
     "import sys; from fragilis.cli import main; code = main(sys.argv[1:]); "
-    "print(code, 'numpy' in sys.modules, *sorted(m for m in sys.modules if m[:9] == 'fragilis.'))"
+    "print(code, 'numpy' in sys.modules, 'dataclasses' in sys.modules, "
+    "*sorted(m for m in sys.modules if m[:9] == 'fragilis.'))"
 )
 
 
@@ -1043,32 +1050,34 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
     # took while it loaded numpy (2 CPUs), so only a command that computes with it loads it;
     # density and stress do, so this test cannot pass vacuously. The same holds for fragilis' own modules:
     # report loads none of cashflow, refclass or charts, the records commands skip cashflow,
-    # and appraise, grid and contingency skip refclass.
+    # and appraise, grid and contingency skip refclass. dataclasses loads only with refclass and
+    # stats, for RowError and DensityTrace (perfbench reads those two with dataclasses.asdict):
+    # the records commands and stress load it, so that half cannot pass vacuously either.
     code = "import sys, fragilis, fragilis.stress, fragilis.datasets; print('numpy' in sys.modules)"
     assert _fresh_python(code) == "False"
     out = ["--out", str(tmp_path)]
     stress_modules = "_rng cashflow datasets dists refclass stress"
     contingency_modules = "_rng cashflow datasets dists stress"
-    for argv, loads, modules in (
-        (["ingest", FIXTURE], False, "refclass"),
-        (["stats", FIXTURE], False, "refclass"),
-        (["stats", FIXTURE, "--group", "region"], False, "refclass"),
-        (["test", FIXTURE, "--test", "bias"], False, "refclass stats"),
-        (["test", FIXTURE, "--test", "decades"], False, "refclass stats"),
-        (["test", FIXTURE, "--test", "trend"], False, "refclass stats"),
-        (["appraise", STYLIZED, "--format", "svg"], False, "cashflow charts"),
-        (["density", FIXTURE], True, "refclass stats"),
+    for argv, loads, dataclasses, modules in (
+        (["ingest", FIXTURE], False, True, "refclass"),
+        (["stats", FIXTURE], False, True, "refclass"),
+        (["stats", FIXTURE, "--group", "region"], False, True, "refclass"),
+        (["test", FIXTURE, "--test", "bias"], False, True, "refclass stats"),
+        (["test", FIXTURE, "--test", "decades"], False, True, "refclass stats"),
+        (["test", FIXTURE, "--test", "trend"], False, True, "refclass stats"),
+        (["appraise", STYLIZED, "--format", "svg"], False, False, "cashflow charts"),
+        (["density", FIXTURE], True, True, "refclass stats"),
         (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True,
-         stress_modules),
-        (["grid", STYLIZED], False, "_rng cashflow dists stress"),
-        (["contingency", STYLIZED, "--dist", "big-dam"], False, contingency_modules),
-        (["contingency", STYLIZED, "--dist", "big-dam", "--coverage", "0.85"], False,
+         True, stress_modules),
+        (["grid", STYLIZED], False, False, "_rng cashflow dists stress"),
+        (["contingency", STYLIZED, "--dist", "big-dam"], False, False, contingency_modules),
+        (["contingency", STYLIZED, "--dist", "big-dam", "--coverage", "0.85"], False, False,
          contingency_modules),  # off the anchors: the body's math.exp, not a pinned value
-        (["report"], False, ""),
+        (["report"], False, False, ""),
     ):
         last = _fresh_python(_CLI_LOADS_NUMPY, *argv, *out).splitlines()[-1]  # after the summary
-        code, numpy_loaded, *loaded = last.split()
-        assert (code, numpy_loaded) == ("0", str(loads)), argv
+        code, numpy_loaded, dataclasses_loaded, *loaded = last.split()
+        assert (code, numpy_loaded, dataclasses_loaded) == ("0", str(loads), str(dataclasses)), argv
         expected = {"cli", "errors", *modules.split()}
         assert set(loaded) == {f"fragilis.{m}" for m in expected}, argv
     assert read_json(tmp_path / "manifest-grid.json")["run"]["numpy"] is None
@@ -1090,6 +1099,55 @@ def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
     assert read_json(tmp_path / "manifest-contingency.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stats.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stress.json")["run"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("ns", [
+    0, 999, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789, 1_700_000_000_000_001_000,
+    951_782_400_000_000_999,  # 2000-02-29, zero microseconds after the nanoseconds drop
+    4_102_444_799_999_999_999,  # 2099-12-31T23:59:59.999999
+])
+def test_timestamp_is_what_datetime_isoformat_writes(ns):
+    seconds, micros = divmod(ns // 1000, 1_000_000)
+    stamp = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micros)
+    assert cli._timestamp(ns) == stamp.isoformat()
+
+
+def test_manifest_timestamp_round_trips_as_utc(tmp_path):
+    before = datetime.now(timezone.utc)
+    assert run(["appraise", STYLIZED, "--out", str(tmp_path)]) == 0
+    text = read_json(tmp_path / "manifest-appraise.json")["timestamp"]
+    stamp = datetime.fromisoformat(text)
+    assert stamp.tzinfo is not None and stamp.utcoffset() == timedelta(0)
+    assert stamp.isoformat() == text
+    assert before - timedelta(seconds=1) <= stamp <= datetime.now(timezone.utc)
+
+
+def test_stress_out_of_memory_exits_3_with_one_line(tmp_path):
+    # The child's address space is capped at 512 MiB (RLIMIT_AS, set in the child only). On
+    # 2 CPUs numpy's import peaked at 141 MB of it and a 1,000-trial stress run at 288 MB (247 MB
+    # with one OpenBLAS thread, which keeps the need from growing with the CPU count), so the
+    # small run fits; a MAX_TRIALS run also needs its 800 MB NPV array, which cannot fit.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is not available on this platform")
+    limit = 512 << 20
+    env = {**os.environ, "PYTHONPATH": str(Path(stress.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+
+    def stress_run(trials: int, out: Path) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from fragilis.cli import main; sys.exit(main())",
+             "stress", STYLIZED, "--dist", "big-dam", "--trials", str(trials), "--seed", "1",
+             "--out", str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=60)
+
+    small = stress_run(1000, tmp_path / "small")
+    assert small.returncode == 0, small.stderr  # the cap leaves room for numpy and a run
+    done = stress_run(stress.MAX_TRIALS, tmp_path / "big")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "computation error: stress ran out of memory\n"
+    assert not (tmp_path / "big").exists()  # nothing was written
 
 
 # every public name of the package as it was when __init__ imported each module eagerly

@@ -281,16 +281,20 @@ def test_run_stress_vectorized_matches_literal_path(canonical_dist):
     )
     result = run_stress(model, config)
 
+    # each trial's draws through run_stress's inverse CDF, quantile_array, of the same uniforms:
+    # scalar quantile can differ from it by a few ulps, enough to flip a trial at BCR 1
+    def draws(dist, tag):
+        return dist.quantile_array(np.array([_rng.uniform_at(31, tag, i)
+                                             for i in range(config.n_trials)])).tolist()
+
     npvs, n_broken = [], 0
-    for i in range(config.n_trials):
-        k = canonical_dist.quantile(_rng.uniform_at(31, CAPEX_TAG, i))
-        slip = slip_dist.quantile(_rng.uniform_at(31, SCHEDULE_TAG, i))
+    for k, slip in zip(draws(canonical_dist, CAPEX_TAG), draws(slip_dist, SCHEDULE_TAG)):
         delay = max(slip - 1.0, 0.0) * 6.0
         stressed = apply_stress(model, cost_mult=k, benefit_mult=1.0 - 0.11, delay_years=delay)
         npvs.append(npv(stressed))
         if bcr(stressed) < 1.0:
             n_broken += 1
-    assert result.p_break == pytest.approx(n_broken / config.n_trials, abs=1e-12)
+    assert result.p_break == n_broken / config.n_trials
     assert result.mean_npv == pytest.approx(math.fsum(npvs) / len(npvs), rel=1e-9)
     s = sorted(npvs)
     assert list(result.npv_quantiles) == list(DEFAULT_NPV_QUANTILES)
