@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import ComputeError, InputError, checked, finite, load_json
+from .errors import ComputeError, Frozen, InputError, checked, finite, load_json
 
 IRR_BRACKET = (-0.99, 10.0)
 _IRR_SCAN_SEGMENTS = 512
@@ -100,7 +99,7 @@ def _require_nonnegative(stream: CashFlowStream, role: str) -> None:
             raise InputError(f"{role} amounts must be >= 0, got {a} at t={t}")
 
 
-class AppraisalModel:
+class AppraisalModel(Frozen):
     """A project's real cash flows plus its real discount rate.
 
     capex and om_costs are pain, benefits are gain; all amounts >= 0 and in
@@ -115,7 +114,6 @@ class AppraisalModel:
 
     _fields = ("capex", "benefits", "discount_rate", "om_costs", "base_year")
     __slots__ = (*_fields, "pv_benefits", "pv_capex", "pv_om")
-    _values = property(attrgetter(*_fields))
 
     def __init__(self, capex: CashFlowStream, benefits: CashFlowStream, discount_rate: float,
                  om_costs: CashFlowStream = CashFlowStream(()), base_year: int = 0) -> None:
@@ -135,24 +133,6 @@ class AppraisalModel:
                       lambda: math.fsum((self.pv_capex, self.pv_om)))
         if not pain > 0.0:
             raise InputError("present value of total pain must be positive")
-
-    def __eq__(self, other):
-        return self._values == other._values if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = map("{}={!r}".format, self._fields, self._values)
-        return f"{type(self).__name__}({', '.join(fields)})"
-
-    def __reduce__(self):  # unpickling and copying build through the constructor
-        return type(self), self._values
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def npv(model: AppraisalModel) -> float:

@@ -5,7 +5,9 @@ MemoryError to exit code 3 (computation); everything else is a bug. finite
 is the overflow check on every scalar figure (run_stress checks its numpy
 sum itself) and checked_fsum on every sum over a sample; load_json reads
 every JSON document: each model, distribution and report artifact file.
-checked makes a named tuple validate every instance it builds.
+checked makes a named tuple validate every instance it builds, and Frozen is
+the base of the immutable slotted classes (AppraisalModel, ReferenceClass)
+that equal, hash, repr and pickle by their _fields alone.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -73,6 +76,36 @@ def checked(cls):
     # namedtuple's own _make skips __new__, and _replace builds through _make
     cls.__new__, cls._make = staticmethod(checked_new), classmethod(lambda c, it: c(*it))
     return cls
+
+
+class Frozen:
+    """Base of an immutable slotted class that equals (its own type only), hashes, reprs
+    and pickles by its _fields (two or more of its slots) alone: other slots, derived from
+    them, take no part. A subclass sets its slots with object.__setattr__. Unpickling and
+    copying rebuild through the constructor, so its checks run again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _reject_constant(name: str) -> Any:

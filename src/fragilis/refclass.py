@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, checked, checked_fsum, finite
+from .errors import Frozen, InputError, checked, checked_fsum, finite
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -155,12 +155,11 @@ def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float 
                      f"expected one of {sorted([*_RATIO_COLUMNS, 'benefit'])}")
 
 
-class ReferenceClass:
+class ReferenceClass(Frozen):
     """An immutable set of comparable historical projects, with distinct ids. It equals,
     hashes, pickles and reprs by its records and label; its len is the record count."""
 
     _fields = __slots__ = ("records", "label")
-    _values = property(attrgetter(*_fields))
 
     def __init__(self, records: tuple[ProjectRecord, ...], label: str = "") -> None:
         if len(set(map(itemgetter(0), records))) != len(records):
@@ -171,23 +170,6 @@ class ReferenceClass:
                 seen.add(rec.id)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        return self._values == other._values if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(records={self.records!r}, label={self.label!r})"
-
-    def __reduce__(self):  # unpickling and copying build through the constructor
-        return type(self), self._values
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.records)

@@ -184,7 +184,11 @@ def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
             npvs[start:stop] = _trial_arrays(config, model, start, stop)
 
     with ThreadPoolExecutor(worker_count(n)) as pool:
-        list(pool.map(fill, range(0, n, _CHUNK)))  # reading every result re-raises a worker's error
+        try:  # map submits every span, starting the pool's threads, before it returns
+            results = pool.map(fill, range(0, n, _CHUNK))
+        except RuntimeError as exc:  # a thread could not start; a worker's error comes below
+            raise ComputeError(f"could not start a worker thread: {exc}") from None
+        list(results)  # reading every result re-raises a worker's error
     npvs.sort()
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(npvs.sum())

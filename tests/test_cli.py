@@ -1150,6 +1150,32 @@ def test_stress_out_of_memory_exits_3_with_one_line(tmp_path):
     assert not (tmp_path / "big").exists()  # nothing was written
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, line", [
+    # as under a tight RLIMIT_AS: the pool's first thread cannot start
+    ("threading.Thread.start", RuntimeError("can't start new thread"),
+     "computation error: could not start a worker thread: can't start new thread\n"),
+    # a worker's own errors reach main unchanged, though ComputeError is a RuntimeError
+    ("fragilis.stress._trial_arrays", ComputeError("a worker failed"),
+     "computation error: a worker failed\n"),
+    ("fragilis.stress._trial_arrays", MemoryError(),
+     "computation error: stress ran out of memory\n"),
+], ids=["thread-start", "worker-compute-error", "worker-memory-error"])
+def test_stress_thread_or_worker_failure_exits_3_with_one_line(tmp_path, monkeypatch, capsys,
+                                                               target, exc, line):
+    monkeypatch.setattr(target, _raise(exc))
+    out = tmp_path / "o"
+    assert run(["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", line)
+    assert not out.exists()
+
+
 # every public name of the package as it was when __init__ imported each module eagerly
 _PACKAGE_NAMES = {
     "AppraisalModel", "AppraisalResult", "CalibrationError", "CashFlowStream",

@@ -2,10 +2,13 @@
 
 Result records are named tuples, so they also equal, hash and iterate as plain
 tuples of their fields. The checked ones (inputs with invariants) validate every
-build, and AppraisalModel and ReferenceClass are slotted classes that compare
-by their fields alone.
+build. AppraisalModel and ReferenceClass are slotted classes that take their
+equality, hash, repr, pickling and immutability from errors.Frozen, by their
+fields alone, and no other module writes those methods again.
 """
 
+import ast
+import copy
 import dataclasses
 import importlib
 import io
@@ -143,6 +146,39 @@ def test_reference_class_len_counts_records():
     assert len(ref) == len(ref.records) == 2
     assert ref == ReferenceClass(ref.records) and ref != ReferenceClass(ref.records, "other")
     assert ref != ReferenceClass(ref.records[:1])
+
+
+def test_only_errors_writes_the_value_class_methods():
+    # errors.Frozen holds the one copy of the rule; a value class elsewhere inherits it
+    methods = {"__eq__", "__hash__", "__reduce__", "__setattr__"}
+    found = set()
+    for path in Path(fragilis.__file__).parent.glob("*.py"):
+        if path.stem != "errors":
+            found |= {f"{path.stem}.{node.name}" for node in ast.walk(ast.parse(path.read_bytes()))
+                      if isinstance(node, ast.FunctionDef) and node.name in methods}
+    assert not found
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+def test_copies_of_the_slotted_classes_equal_the_original(copier):
+    ref, model = _ref(), _model()
+    assert copier(ref) == ref
+    back = copier(model)  # rebuilt through the constructor: same B, C, O
+    assert back == model and (back.pv_benefits, back.pv_capex, back.pv_om) == (
+        model.pv_benefits, model.pv_capex, model.pv_om)
+
+
+@pytest.mark.parametrize("cls, fields, message", [
+    (ReferenceClass, {"records": (_ref().records[0],) * 2, "label": ""}, "duplicate record id"),
+    (AppraisalModel, {**dict(zip(AppraisalModel._fields, _model()._values)),
+                      "capex": CashFlowStream(((0.0, -1.0),))}, "capex amounts must be >= 0"),
+])
+def test_slotted_classes_check_every_unpickling(cls, fields, message):
+    invalid = object.__new__(cls)  # unchecked, as a tampered pickle
+    for name, value in fields.items():
+        object.__setattr__(invalid, name, value)
+    with pytest.raises(InputError, match=message):
+        pickle.loads(pickle.dumps(invalid))
 
 
 def test_result_records_are_tuples_of_their_fields():
