@@ -9,7 +9,7 @@ computes with (beyond cli and errors):
     test            refclass, stats
     density         refclass, stats and numpy
     appraise        cashflow, and charts for --format svg
-    stress          _rng, cashflow, datasets, dists, refclass, stress and numpy
+    stress          _rng, cashflow, datasets, dists, stress and numpy
     grid            _rng, cashflow, dists and stress
     contingency     _rng, cashflow, datasets, dists and stress
     report          none
@@ -17,9 +17,16 @@ computes with (beyond cli and errors):
 main sets each JSON artifact's source to the first input, renders it with
 allow_nan=False (a non-finite number is a computation error) and only then
 creates --out and writes the artifacts and the run manifest (provenance and
-how the run went; see _manifest). A command that fails before the first write
-writes nothing; an OSError partway through the writes can leave earlier files.
+how the run went; see _manifest), and last prints and flushes the summary. A
+command that fails before the first write writes nothing; an OSError partway
+through the writes, or a summary that cannot be written, can leave files.
 Exit codes: 0 success, 2 validation error, 3 computation error or out of memory.
+
+main() without argv is the program (the fragilis script, python -m fragilis.cli):
+once stdout and stderr are flushed it ends the process with os._exit(code), so
+module teardown, the final garbage collection and atexit handlers do not run.
+main(argv) returns the code instead; call it in-process or under coverage.
+Usage errors (argparse's SystemExit) and tracebacks leave the normal way.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -453,15 +461,21 @@ def main(argv: list[str] | None = None) -> int:
         manifest = _manifest(args, inputs, time.perf_counter() - started)
         name = f"manifest-{args.command}.json"
         (out / name).write_text(_render(name, manifest), encoding="utf-8")
+        print(summary)
+        sys.stdout.flush()  # a summary that cannot be written is an OSError here, not at exit
+        code = 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (ComputeError, MemoryError) as exc:
         reason = f"{args.command} ran out of memory" if isinstance(exc, MemoryError) else exc
         print(f"computation error: {reason}", file=sys.stderr)
-        return 3
-    print(summary)
-    return 0
+        code = 3
+    if argv is None:  # the program: skip module teardown, the final GC and atexit
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 The CLI maps InputError to exit code 2 (validation), and ComputeError and
 MemoryError to exit code 3 (computation); everything else is a bug. finite
 is the overflow check on every scalar figure (run_stress checks its numpy
-sum itself) and checked_fsum on every sum over a sample; load_json reads
-every JSON document: each model, distribution and report artifact file.
+sum itself) and checked_fsum on every sum over a sample; sorted_quantile
+reads every sample quantile from a sorted sample; load_json reads every JSON
+document: each model, distribution and report artifact file.
 checked makes a named tuple validate every instance it builds, and Frozen is
 the base of the immutable slotted classes (AppraisalModel, ReferenceClass)
 that equal, hash, repr and pickle by their _fields alone.
@@ -17,7 +18,7 @@ import json
 import math
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 
 class FragilisError(Exception):
@@ -60,6 +61,25 @@ def checked_fsum(terms) -> float:
     (an OverflowError, an infinite term, or inf - inf) as a ComputeError."""
     return finite("a sum or square of the sample overflows the float range",
                   lambda: math.fsum(terms))
+
+
+def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
+    """Type 7 quantiles of the sorted, non-empty array s at checked levels ps: with
+    h = (n-1)p, each is s[h] where h is a whole number, and otherwise
+    s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]), written out so
+    sort-based brute-force oracles can match bit for bit. So p = 0 and p = 1 give the
+    minimum and maximum exactly. Where the difference of the two order statistics
+    overflows (-1e308 to 1e308, say), the same point is (1 - f) * a + f * b."""
+    out = []
+    for p in ps:
+        h = (len(s) - 1) * p
+        lo = math.floor(h)
+        if lo == h:
+            out.append(float(s[lo]))
+        else:
+            a, b, f = float(s[lo]), float(s[lo + 1]), h - lo
+            out.append(a + f * (b - a) if b - a < math.inf else (1.0 - f) * a + f * b)
+    return tuple(out)
 
 
 def checked(cls):

@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import Frozen, InputError, checked, checked_fsum, finite
+from .errors import Frozen, InputError, checked, checked_fsum, finite, sorted_quantile
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -228,25 +228,6 @@ def quantile(values: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
     if not all(map(math.isfinite, values)):
         raise InputError("quantile of a sample with a NaN or infinite value")
     return sorted_quantile(sorted(values), ps)
-
-
-def sorted_quantile(s: Sequence[float], ps: Sequence[float]) -> tuple[float, ...]:
-    """Type 7 quantiles of the sorted, non-empty array s at checked levels ps: with
-    h = (n-1)p, each is s[h] where h is a whole number, and otherwise
-    s[floor(h)] + (h - floor(h)) * (s[floor(h)+1] - s[floor(h)]), written out so
-    sort-based brute-force oracles can match bit for bit. So p = 0 and p = 1 give the
-    minimum and maximum exactly. Where the difference of the two order statistics
-    overflows (-1e308 to 1e308, say), the same point is (1 - f) * a + f * b."""
-    out = []
-    for p in ps:
-        h = (len(s) - 1) * p
-        lo = math.floor(h)
-        if lo == h:
-            out.append(float(s[lo]))
-        else:
-            a, b, f = float(s[lo]), float(s[lo + 1]), h - lo
-            out.append(a + f * (b - a) if b - a < math.inf else (1.0 - f) * a + f * b)
-    return tuple(out)
 
 
 class SummaryStats(NamedTuple):

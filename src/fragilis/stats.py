@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import ComputeError, DegenerateSampleError, InputError, checked_fsum, finite
-from .refclass import sorted_quantile
+from .errors import (ComputeError, DegenerateSampleError, InputError, checked_fsum, finite,
+                     sorted_quantile)
 
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 from . import _rng
 from .cashflow import AppraisalModel, bcr, irr, net_stream
 from .dists import QuantileDistribution
-from .errors import ComputeError, InputError, checked
+from .errors import ComputeError, InputError, checked, sorted_quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -168,9 +168,6 @@ def run_stress(model: AppraisalModel, config: StressConfig) -> StressResult:
     non-finite and raises ComputeError.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~5 ms; kept out of `import fragilis`
-
-    # refclass before numpy: imported after it, it raised the stress command's peak RSS by ~1 MB
-    from .refclass import sorted_quantile
 
     import numpy as np
 

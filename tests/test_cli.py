@@ -1050,14 +1050,13 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
     # took while it loaded numpy (2 CPUs), so only a command that computes with it loads it;
     # density and stress do, so this test cannot pass vacuously. The same holds for fragilis' own modules:
     # report loads none of cashflow, refclass or charts, the records commands skip cashflow,
-    # and appraise, grid and contingency skip refclass. dataclasses loads only with refclass and
-    # stats, for RowError and DensityTrace (perfbench reads those two with dataclasses.asdict):
-    # the records commands and stress load it, so that half cannot pass vacuously either.
+    # and appraise, stress, grid and contingency skip refclass. dataclasses loads only with
+    # refclass and stats, for RowError and DensityTrace (perfbench reads those two with
+    # dataclasses.asdict): the records commands load it, so that half cannot pass vacuously either.
     code = "import sys, fragilis, fragilis.stress, fragilis.datasets; print('numpy' in sys.modules)"
     assert _fresh_python(code) == "False"
     out = ["--out", str(tmp_path)]
-    stress_modules = "_rng cashflow datasets dists refclass stress"
-    contingency_modules = "_rng cashflow datasets dists stress"
+    stress_modules = contingency_modules = "_rng cashflow datasets dists stress"
     for argv, loads, dataclasses, modules in (
         (["ingest", FIXTURE], False, True, "refclass"),
         (["stats", FIXTURE], False, True, "refclass"),
@@ -1068,7 +1067,7 @@ def test_commands_that_compute_without_numpy_never_load_it(tmp_path):
         (["appraise", STYLIZED, "--format", "svg"], False, False, "cashflow charts"),
         (["density", FIXTURE], True, True, "refclass stats"),
         (["stress", STYLIZED, "--dist", "big-dam", "--trials", "1000", "--seed", "1"], True,
-         True, stress_modules),
+         False, stress_modules),
         (["grid", STYLIZED], False, False, "_rng cashflow dists stress"),
         (["contingency", STYLIZED, "--dist", "big-dam"], False, False, contingency_modules),
         (["contingency", STYLIZED, "--dist", "big-dam", "--coverage", "0.85"], False, False,
@@ -1099,6 +1098,78 @@ def test_manifest_records_numpy_only_when_the_command_loaded_it(tmp_path):
     assert read_json(tmp_path / "manifest-contingency.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stats.json")["run"]["numpy"] is None
     assert read_json(tmp_path / "manifest-stress.json")["run"]["numpy"] == np.__version__
+
+
+# main() is the program (it ends the process with os._exit); main(argv) returns the code
+_ENTRIES = {
+    "program": "import sys; from fragilis.cli import main; sys.exit(main())",
+    "in-process": "import sys; from fragilis.cli import main; sys.exit(main(sys.argv[1:]))",
+}
+
+
+def _entry_process(entry: str, argv: list[str], **kwargs) -> subprocess.Popen:
+    src = Path(stress.__file__).parents[1]
+    return subprocess.Popen([sys.executable, "-c", _ENTRIES[entry], *argv], text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
+
+
+def _without_run(path: Path) -> dict:
+    doc = read_json(path)
+    del doc["timestamp"], doc["run"]
+    return doc
+
+
+def test_both_entry_paths_end_alike(tmp_path):
+    # each command, a missing input (exit 2) and an overflowing grid (exit 3) through both
+    # entries at once, each in its own directory with the same relative --out
+    dirs = {entry: tmp_path / entry for entry in _ENTRIES}
+    for cwd in dirs.values():
+        cwd.mkdir()
+    for argv in (
+        ["ingest", FIXTURE], ["stats", FIXTURE, "--group", "region"],
+        ["density", FIXTURE, "--format", "svg"], ["test", FIXTURE, "--test", "decades"],
+        ["appraise", STYLIZED, "--format", "svg"],
+        ["stress", STYLIZED, "--dist", "big-dam", "--trials", "2000", "--seed", "3"],
+        ["grid", STYLIZED], ["contingency", STYLIZED, "--dist", "big-dam"], ["report"],
+        ["appraise", "missing.json"], ["grid", STYLIZED, "--cost-mults", "1e306"],
+    ):
+        procs = {entry: _entry_process(entry, [*argv, "--out", "out"], cwd=cwd,
+                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for entry, cwd in dirs.items()}
+        ends = {entry: (*p.communicate(timeout=60), p.returncode) for entry, p in procs.items()}
+        assert ends["program"] == ends["in-process"], argv
+        assert ends["program"][2] == {"missing.json": 2, "1e306": 3}.get(argv[-1], 0), ends
+    program, in_process = (sorted((cwd / "out").iterdir()) for cwd in dirs.values())
+    assert [p.name for p in program] == [p.name for p in in_process]
+    assert len(program) == 23  # 14 artifacts and 9 manifests
+    for a, b in zip(program, in_process):
+        if a.name.startswith("manifest-"):
+            assert _without_run(a) == _without_run(b), a.name
+        else:
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_only_the_program_skips_atexit(tmp_path):
+    hook = "import atexit; atexit.register(print, 'atexit ran'); "
+    argv = ["appraise", STYLIZED, "--out", str(tmp_path)]
+    assert _fresh_python(hook + _ENTRIES["program"], *argv) == "bcr=1.4 npv=400 k*=1.4"
+    assert _fresh_python(hook + _ENTRIES["in-process"], *argv).splitlines()[-1] == "atexit ran"
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_summary_that_cannot_be_written_exits_2_with_one_line(tmp_path, entry):
+    # /dev/full takes no bytes: printing the summary raises ENOSPC after every file is written
+    if not os.path.exists("/dev/full"):
+        pytest.skip("/dev/full is not available on this platform")
+    out = tmp_path / "o"
+    assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
+    with open("/dev/full", "w") as full:
+        proc = _entry_process(entry, ["report", "--out", str(out)], stdout=full,
+                              stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert (out / "report.md").is_file() and (out / "manifest-report.json").is_file()
 
 
 @pytest.mark.parametrize("ns", [
