@@ -442,6 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_summary(summary: str) -> None:
+    """Print and flush the summary (nothing if there is no stdout), so a stdout that
+    cannot take it (a full device, a closed pipe) is an OSError in main's try. A buffered
+    stdout keeps the bytes it could not write and would fail again at exit, so it is
+    pointed at os.devnull before the error goes on."""
+    try:
+        print(summary, flush=True)
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     effective = list(sys.argv[1:]) if argv is None else list(argv)
@@ -461,8 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest = _manifest(args, inputs, time.perf_counter() - started)
         name = f"manifest-{args.command}.json"
         (out / name).write_text(_render(name, manifest), encoding="utf-8")
-        print(summary)
-        sys.stdout.flush()  # a summary that cannot be written is an OSError here, not at exit
+        _print_summary(summary)
         code = 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -472,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"computation error: {reason}", file=sys.stderr)
         code = 3
     if argv is None:  # the program: skip module teardown, the final GC and atexit
-        sys.stdout.flush()
-        sys.stderr.flush()
+        if sys.stderr is not None:  # stdout holds nothing: see _print_summary
+            sys.stderr.flush()
         os._exit(code)
     return code
 

@@ -1107,10 +1107,17 @@ _ENTRIES = {
 }
 
 
-def _entry_process(entry: str, argv: list[str], **kwargs) -> subprocess.Popen:
+def _entry_process(entry: str, argv: list[str], unbuffered: bool = False,
+                   **kwargs) -> subprocess.Popen:
+    """A fresh process running argv through one entry, with stdout block-buffered as in a
+    plain fragilis run unless unbuffered (PYTHONUNBUFFERED is dropped from the environment)."""
     src = Path(stress.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-c", _ENTRIES[entry], *argv], text=True,
-                            env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
+                            env=env, **kwargs)
 
 
 def _without_run(path: Path) -> dict:
@@ -1156,20 +1163,45 @@ def test_only_the_program_skips_atexit(tmp_path):
     assert _fresh_python(hook + _ENTRIES["in-process"], *argv).splitlines()[-1] == "atexit ran"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
 @pytest.mark.parametrize("entry", list(_ENTRIES))
-def test_summary_that_cannot_be_written_exits_2_with_one_line(tmp_path, entry):
-    # /dev/full takes no bytes: printing the summary raises ENOSPC after every file is written
-    if not os.path.exists("/dev/full"):
+def test_summary_that_cannot_be_written_exits_2_with_one_line(tmp_path, entry, stdout,
+                                                              unbuffered):
+    # /dev/full takes no bytes (ENOSPC) and a pipe without a reader none either (EPIPE),
+    # after every file is written; a buffered stdout keeps the bytes and is flushed again
+    # at exit, so both buffering modes are run
+    if stdout == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("/dev/full is not available on this platform")
     out = tmp_path / "o"
     assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
-    with open("/dev/full", "w") as full:
-        proc = _entry_process(entry, ["report", "--out", str(out)], stdout=full,
+    if stdout == "dev-full":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, fd = os.pipe()
+        os.close(reader)
+    try:
+        proc = _entry_process(entry, ["report", "--out", str(out)], unbuffered, stdout=fd,
                               stderr=subprocess.PIPE)
-        _, err = proc.communicate(timeout=60)
+    finally:
+        os.close(fd)
+    _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert (out / "report.md").is_file() and (out / "manifest-report.json").is_file()
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_no_stdout_skips_the_summary(tmp_path, entry):
+    # stdout's descriptor closed before start leaves sys.stdout None: print writes nothing
+    shell = 'exec "$0" "$@" >&-'
+    src = Path(stress.__file__).parents[1]
+    done = subprocess.run(["sh", "-c", shell, sys.executable, "-c", _ENTRIES[entry],
+                           "appraise", STYLIZED, "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "manifest-appraise.json").is_file()
 
 
 @pytest.mark.parametrize("ns", [
