@@ -26,7 +26,7 @@ All types are immutable; all operations are pure.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -230,13 +230,9 @@ def payoff_curve(model: AppraisalModel) -> PayoffCurve:
     total_pain = cum_pain[-1] if cum_pain else 0.0
 
     index: int | None = None
-    if total_pain > total_gain:
-        for k in range(max(len(cum_gain), len(cum_pain))):
-            g = cum_gain[k] if k < len(cum_gain) else total_gain
-            p = cum_pain[k] if k < len(cum_pain) else total_pain
-            if p > g:
-                index = k
-                break
+    if total_pain > total_gain:  # so pain leads once both curves reach their totals
+        pairs = zip(chain(cum_gain, repeat(total_gain)), chain(cum_pain, repeat(total_pain)))
+        index = next(k for k, (g, p) in enumerate(pairs) if p > g)
     return PayoffCurve(gains, pains, cum_gain, cum_pain, index)
 
 

@@ -25,8 +25,10 @@ Exit codes: 0 success, 2 validation error, 3 computation error or out of memory.
 main() without argv is the program (the fragilis script, python -m fragilis.cli):
 once stdout and stderr are flushed it ends the process with os._exit(code), so
 module teardown, the final garbage collection and atexit handlers do not run.
-main(argv) returns the code instead; call it in-process or under coverage.
-Usage errors (argparse's SystemExit) and tracebacks leave the normal way.
+So does argparse's usage output (--help, --version, a usage error): the program
+ends with argparse's code, or with 2 and one error line if stdout cannot take it.
+main(argv) returns the code instead and lets argparse's SystemExit through; call
+it in-process or under coverage. Tracebacks leave the normal way.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ComputeError, InputError, load_json
+from .errors import ComputeError, InputError, document, load_json
 
 if TYPE_CHECKING:  # annotations only: each command imports what it computes with
     from .cashflow import AppraisalModel
@@ -238,7 +240,7 @@ def cmd_appraise(args) -> _Run:
 
     model, path = _load_model(args)
     result = appraise(model, benefit_shortfall=args.shortfall)
-    doc = {**result._asdict(), "benefit_shortfall": args.shortfall}
+    doc = {**document(result), "benefit_shortfall": args.shortfall}
     artifacts = {"appraisal.json": doc}
     if args.format == "svg":
         from . import charts
@@ -308,7 +310,7 @@ def cmd_grid(args) -> _Run:
         cost_mults=_parse_mults(args.cost_mults, "--cost-mults"),
     )
     summary = f"grid written: {len(grid.cost_mults)} cost x {len(grid.benefit_mults)} benefit cells"
-    return [path], {"grid.json": grid._asdict(), "grid.csv": grid.to_csv()}, summary
+    return [path], {"grid.json": document(grid), "grid.csv": grid.to_csv()}, summary
 
 
 def cmd_contingency(args) -> _Run:
@@ -442,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(summary: str) -> None:
-    """Print and flush the summary (nothing if there is no stdout), so a stdout that
-    cannot take it (a full device, a closed pipe) is an OSError in main's try. A buffered
-    stdout keeps the bytes it could not write and would fail again at exit, so it is
-    pointed at os.devnull before the error goes on."""
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it (nothing if there is no stdout), so a stdout that
+    cannot take it (a full device, a closed pipe) is an OSError here. A buffered stdout
+    keeps the bytes it could not write and would fail again at exit, so it is pointed at
+    os.devnull before the error goes on."""
     try:
-        print(summary, flush=True)
+        print(text, end="", flush=True)
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -456,11 +458,8 @@ def _print_summary(summary: str) -> None:
         raise
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    effective = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(effective)
-    args.argv = effective
+def _run(args) -> int:
+    """Run the parsed command, write its files and summary, and return the exit code."""
     try:
         started = time.perf_counter()
         inputs, artifacts, summary = args.func(args)
@@ -475,17 +474,35 @@ def main(argv: list[str] | None = None) -> int:
         manifest = _manifest(args, inputs, time.perf_counter() - started)
         name = f"manifest-{args.command}.json"
         (out / name).write_text(_render(name, manifest), encoding="utf-8")
-        _print_summary(summary)
-        code = 0
+        _write_stdout(summary + "\n")
+        return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        return 2
     except (ComputeError, MemoryError) as exc:
         reason = f"{args.command} ran out of memory" if isinstance(exc, MemoryError) else exc
         print(f"computation error: {reason}", file=sys.stderr)
-        code = 3
+        return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    effective = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(effective)
+    except SystemExit as usage:  # --help, --version or a usage error, written by argparse
+        if argv is not None:
+            raise
+        code = usage.code
+        try:  # argparse ignores a write that fails, but a buffered stdout still holds it
+            _write_stdout("")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    else:
+        args.argv = effective
+        code = _run(args)
     if argv is None:  # the program: skip module teardown, the final GC and atexit
-        if sys.stderr is not None:  # stdout holds nothing: see _print_summary
+        if sys.stderr is not None:  # stdout holds nothing: see _write_stdout
             sys.stderr.flush()
         os._exit(code)
     return code

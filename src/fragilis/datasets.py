@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -138,12 +140,8 @@ _TYPE_WEIGHTS = (0.45, 0.20, 0.18, 0.10, 0.07)
 
 
 def _pick(u: float, weights: tuple[float, ...]) -> int:
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+    """The first index whose running weight total exceeds u, or the last index."""
+    return min(bisect_right(list(accumulate(weights)), u), len(weights) - 1)
 
 
 def build_synthetic_records(seed: int = FIXTURE_SEED, n: int = 245) -> ReferenceClass:

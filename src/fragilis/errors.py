@@ -6,9 +6,10 @@ is the overflow check on every scalar figure (run_stress checks its numpy
 sum itself) and checked_fsum on every sum over a sample; sorted_quantile
 reads every sample quantile from a sorted sample; load_json reads every JSON
 document: each model, distribution and report artifact file.
-checked makes a named tuple validate every instance it builds, and Frozen is
-the base of the immutable slotted classes (AppraisalModel, ReferenceClass)
-that equal, hash, repr and pickle by their _fields alone.
+checked makes a named tuple validate every instance it builds, document turns
+a result named tuple into its JSON document, and Frozen is the base of the
+immutable slotted classes (AppraisalModel, ReferenceClass) that equal, hash,
+repr and pickle by their _fields alone.
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ def checked(cls):
     # namedtuple's own _make skips __new__, and _replace builds through _make
     cls.__new__, cls._make = staticmethod(checked_new), classmethod(lambda c, it: c(*it))
     return cls
+
+
+def document(result) -> dict:
+    """The named tuple result as a JSON document: its fields by name, each map's keys as
+    str(key). JSON keys are strings, and str of a float round-trips (0.1 stays "0.1")."""
+    return {name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+            for name, value in result._asdict().items()}
 
 
 class Frozen:

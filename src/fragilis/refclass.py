@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import Frozen, InputError, checked, checked_fsum, finite, sorted_quantile
+from .errors import Frozen, InputError, checked, checked_fsum, document, finite, sorted_quantile
 
 DEFAULT_QUANTILES = (0.25, 0.50, 0.75, 0.80, 0.90)
 
@@ -241,9 +241,7 @@ class SummaryStats(NamedTuple):
     share_over_1: float
     share_breaking: dict[float, float]
 
-    def to_dict(self) -> dict:  # JSON keys are strings: the two float-keyed maps take str(key)
-        return {**self._asdict(), "quantiles": {str(p): x for p, x in self.quantiles.items()},
-                "share_breaking": {str(t): s for t, s in self.share_breaking.items()}}
+    to_dict = document
 
 
 def summarize(
@@ -266,13 +264,13 @@ def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
     n, s = len(ratios), sorted(ratios)
-    median, q25, q75, *qs = quantile(s, (0.5, 0.25, 0.75, *DEFAULT_QUANTILES))
+    qs = dict(zip(DEFAULT_QUANTILES, quantile(s, DEFAULT_QUANTILES)))  # holds 0.25, 0.5, 0.75
     return SummaryStats(
         n=n,
         mean=checked_fsum(ratios) / n,
-        median=median,
-        iqr=q75 - q25,
-        quantiles=dict(zip(DEFAULT_QUANTILES, qs)),
+        median=qs[0.5],
+        iqr=qs[0.75] - qs[0.25],
+        quantiles=qs,
         share_over_1=(n - bisect_right(s, 1.0)) / n,
         share_breaking={float(t): (n - bisect_left(s, t)) / n for t in thresholds},
     )

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import (ComputeError, DegenerateSampleError, InputError, checked_fsum, finite,
-                     sorted_quantile)
+from .errors import (ComputeError, DegenerateSampleError, InputError, checked_fsum, document,
+                     finite, sorted_quantile)
 
 KDE_GRID_POINTS = 512
 KDE_SPAN_BANDWIDTHS = 4.0
@@ -176,8 +176,7 @@ class TestResult(NamedTuple):
     n: int
     m: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
+    to_dict = document
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +378,7 @@ class TrendResult(NamedTuple):
     intercept: float
     r_squared: float
 
-    def to_dict(self) -> dict:
-        return self._asdict()
+    to_dict = document
 
 
 def trend_f(x: Sequence[float], y: Sequence[float]) -> TrendResult:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 from . import _rng
 from .cashflow import AppraisalModel, bcr, irr, net_stream
 from .dists import QuantileDistribution
-from .errors import ComputeError, InputError, checked, sorted_quantile
+from .errors import ComputeError, InputError, checked, document, sorted_quantile
 
 CAPEX_TAG = 1
 SCHEDULE_TAG = 2
@@ -113,13 +113,11 @@ class StressResult(NamedTuple):
     n_trials: int
     seed: int
 
-    def to_dict(self) -> dict:
-        quantiles = {f"{p:g}": v for p, v in self.npv_quantiles.items()}
-        return {**self._asdict(), "npv_quantiles": quantiles}
+    to_dict = document
 
-    def quantiles_csv(self) -> str:
+    def quantiles_csv(self) -> str:  # each level as its document key, str(p)
         lines = ["p,npv"]
-        lines += [f"{p:g},{v!r}" for p, v in sorted(self.npv_quantiles.items())]
+        lines += [f"{p},{v!r}" for p, v in sorted(self.npv_quantiles.items())]
         return "\n".join(lines) + "\n"
 
 
@@ -261,7 +259,7 @@ class ContingencyResult(NamedTuple):
     proceed: bool
 
     def to_dict(self) -> dict:
-        doc = self._asdict()
+        doc = document(self)
         doc["decision"] = "proceed" if doc.pop("proceed") else "do-not-proceed"
         return doc
 

@@ -105,6 +105,16 @@ def test_appraise_truncated_model_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("shortfall", ["1.5", "nan"])
+def test_appraise_shortfall_outside_unit_interval_is_validation_error(tmp_path, capsys,
+                                                                     shortfall):
+    out = tmp_path / "o"
+    assert run(["appraise", STYLIZED, "--shortfall", shortfall, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "benefit shortfall must be in [0, 1)" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # stress
 
@@ -643,12 +653,14 @@ def test_density_zero_variance_is_computation_error(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_infinite_bandwidth_is_input_error(tmp_path, capsys):
-    for bandwidth in ("inf", "1e308"):
+    # and a bandwidth that is not positive: 0, -1 and NaN
+    for bandwidth, rule in (("inf", "finite"), ("1e308", "finite"), ("0", "positive"),
+                            ("-1", "positive"), ("nan", "positive")):
         out = tmp_path / bandwidth
         assert run(["density", FIXTURE, "--bandwidth", bandwidth, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "bandwidth must be finite" in err
-        assert not (out / "density.json").exists()
+        assert len(err.splitlines()) == 1 and f"bandwidth must be {rule}" in err
+        assert not out.exists()
 
 
 def test_density_tiny_bandwidth_is_input_error(tmp_path, capsys):
@@ -1163,32 +1175,57 @@ def test_only_the_program_skips_atexit(tmp_path):
     assert _fresh_python(hook + _ENTRIES["in-process"], *argv).splitlines()[-1] == "atexit ran"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
-@pytest.mark.parametrize("entry", list(_ENTRIES))
-def test_summary_that_cannot_be_written_exits_2_with_one_line(tmp_path, entry, stdout,
-                                                              unbuffered):
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), (["stats"], 2)],
+                         ids=["version", "help", "usage-error"])
+def test_usage_output_ends_alike_on_both_entries(argv, code):
+    # the program flushes argparse's buffered output itself before os._exit
+    procs = {entry: _entry_process(entry, argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for entry in _ENTRIES}
+    ends = {entry: (*p.communicate(timeout=60), p.returncode) for entry, p in procs.items()}
+    assert ends["program"] == ends["in-process"]
+    out, err, returncode = ends["program"]
+    assert returncode == code
+    if argv == ["--version"]:
+        assert (out, err) == (f"fragilis {__version__}\n", "")
+    else:
+        assert (out if code == 0 else err).startswith("usage: fragilis")
+
+
+_STDOUTS = ("dev-full", "closed-pipe")
+
+
+@pytest.mark.parametrize("entry, stdout, mode", [
+    # a summary on either entry, with stdout buffered or not
+    *((e, s, m) for e in _ENTRIES for s in _STDOUTS for m in ("buffered", "unbuffered")),
+    # argparse's usage output on the program, with stdout buffered (main(argv) lets its
+    # SystemExit through; unbuffered, argparse ignores the failed write and exits 0)
+    *(("program", s, m) for s in _STDOUTS for m in ("help", "version")),
+])
+def test_summary_that_cannot_be_written_exits_2_with_one_line(tmp_path, entry, stdout, mode):
     # /dev/full takes no bytes (ENOSPC) and a pipe without a reader none either (EPIPE),
     # after every file is written; a buffered stdout keeps the bytes and is flushed again
     # at exit, so both buffering modes are run
     if stdout == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("/dev/full is not available on this platform")
     out = tmp_path / "o"
-    assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
+    usage = mode in ("help", "version")
+    if not usage:
+        assert run(["appraise", STYLIZED, "--out", str(out)]) == 0
     if stdout == "dev-full":
         fd = os.open("/dev/full", os.O_WRONLY)
     else:
         reader, fd = os.pipe()
         os.close(reader)
+    argv = [f"--{mode}"] if usage else ["report", "--out", str(out)]
     try:
-        proc = _entry_process(entry, ["report", "--out", str(out)], unbuffered, stdout=fd,
+        proc = _entry_process(entry, argv, mode == "unbuffered", stdout=fd,
                               stderr=subprocess.PIPE)
     finally:
         os.close(fd)
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert (out / "report.md").is_file() and (out / "manifest-report.json").is_file()
+    assert usage or (out / "report.md").is_file() and (out / "manifest-report.json").is_file()
 
 
 @pytest.mark.parametrize("entry", list(_ENTRIES))
@@ -1485,7 +1522,7 @@ def test_cli_exit_codes_on_mutated_inputs(target, edits):
 
 
 def test_shipped_assets_match_regeneration(tmp_path):
-    datasets.regenerate(tmp_path)
+    assert datasets.main(["regenerate", "--target", str(tmp_path)]) == 0
     shipped = datasets.data_dir()
     for name in sorted(p.name for p in tmp_path.iterdir()):
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

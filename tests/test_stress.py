@@ -371,6 +371,10 @@ def test_stress_result_serialization_shape(canonical_dist):
     csv_text = result.quantiles_csv()
     assert csv_text.startswith("p,npv\n")
     assert len(csv_text.strip().splitlines()) == 1 + len(result.npv_quantiles)
+    # each level is written as str(p), which reads back as the same float where :g would not
+    odd = result._replace(npv_quantiles={0.30000000000000004: 1.0, 123456789.0: 2.0})
+    assert list(odd.to_dict()["npv_quantiles"]) == ["0.30000000000000004", "123456789.0"]
+    assert odd.quantiles_csv() == "p,npv\n0.30000000000000004,1.0\n123456789.0,2.0\n"
 
 
 # ---------------------------------------------------------------------------
