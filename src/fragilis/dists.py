@@ -199,6 +199,8 @@ class QuantileDistribution(NamedTuple):
         return self.anchor_xs[-1] + self.tail.scale / -self.tail.shape
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
+        """quantile_array(u). Nothing in fragilis calls it: it exists only because
+        perfbench probes it, and goes when that probe moves to quantile_array."""
         return self.quantile_array(u)
 
     # -- analytic moments ----------------------------------------------------

@@ -157,9 +157,14 @@ def _metric_ratios(records: Sequence[ProjectRecord], metric: str) -> list[float 
 
 class ReferenceClass(Frozen):
     """An immutable set of comparable historical projects, with distinct ids. It equals,
-    hashes, pickles and reprs by its records and label; its len is the record count."""
+    hashes, pickles and reprs by its records and label; its len is the record count.
 
-    _fields = __slots__ = ("records", "label")
+    Its cost and schedule ratio columns are built once, at construction, and every
+    ratios, summarize, group_ratios and group_stats call reads them. Benefit ratios are
+    computed per call: a record whose est_benefit is not positive raises only then."""
+
+    _fields = ("records", "label")
+    __slots__ = (*_fields, "_columns")
 
     def __init__(self, records: tuple[ProjectRecord, ...], label: str = "") -> None:
         if len(set(map(itemgetter(0), records))) != len(records):
@@ -170,15 +175,23 @@ class ReferenceClass(Frozen):
                 seen.add(rec.id)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_columns", {metric: _metric_ratios(records, metric)
+                                              for metric in _RATIO_COLUMNS})
 
     def __len__(self) -> int:
         return len(self.records)
 
     def ratios(self, metric: str) -> list[float]:
-        """Per-record ratios for a metric; records without data are skipped
-        (only possible for the benefit metric)."""
-        ratios = _metric_ratios(self.records, metric)
-        return ratios if metric in _RATIO_COLUMNS else [r for r in ratios if r is not None]
+        """Per-record ratios for a metric, as a new list; records without data are
+        skipped (only possible for the benefit metric)."""
+        column = self._column(metric)
+        return column.copy() if metric in self._columns else [r for r in column if r is not None]
+
+    def _column(self, metric: str) -> list[float | None]:
+        """Each record's ratio for a metric, in record order: the stored cost or
+        schedule column itself, or the benefit ratios from _metric_ratios."""
+        columns = self._columns
+        return columns[metric] if metric in columns else _metric_ratios(self.records, metric)
 
 
 def deflate(
@@ -264,6 +277,9 @@ def _summary(ratios: list[float], thresholds: Sequence[float]) -> SummaryStats:
     if not all(map(math.isfinite, thresholds)):
         raise InputError(f"thresholds must be finite, got {list(thresholds)}")
     n, s = len(ratios), sorted(ratios)
+    # s is sorted already, and quantile re-sorts it in one linear pass: it goes through
+    # quantile, not sorted_quantile, as perfbench counts refclass.quantile.calls until it
+    # probes sorted_quantile instead (ROADMAP item 1)
     qs = dict(zip(DEFAULT_QUANTILES, quantile(s, DEFAULT_QUANTILES)))  # holds 0.25, 0.5, 0.75
     return SummaryStats(
         n=n,
@@ -297,7 +313,7 @@ def group_ratios(ref: ReferenceClass, key: str, metric: str = "cost") -> dict[st
         raise InputError(f"unknown group key {key!r}; expected one of {sorted(_GROUP_KEYS)}")
     column, label = _GROUP_KEYS[key]
     groups = defaultdict(list)
-    for group, ratio in zip(column(ref.records), _metric_ratios(ref.records, metric)):
+    for group, ratio in zip(column(ref.records), ref._column(metric)):
         if ratio is not None:
             groups[group].append(ratio)
     return dict(sorted((label(group), ratios) for group, ratios in groups.items()))

@@ -129,7 +129,7 @@ def _trial_arrays(
     import numpy as np
 
     def draw(dist: QuantileDistribution, tag: int) -> np.ndarray:
-        return dist.sample_array(_rng.uniforms(config.seed, tag, start, stop))
+        return dist.quantile_array(_rng.uniforms(config.seed, tag, start, stop))
 
     k = draw(config.capex_dist, CAPEX_TAG)
     x = 1.0  # inputs that do not vary stay scalars; broadcasting gives the same bits
@@ -219,10 +219,10 @@ class SensitivityGrid(NamedTuple):
     bcr: tuple[tuple[float, ...], ...]
 
     def to_csv(self) -> str:
-        lines = ["cost_mult\\benefit_mult," + ",".join(f"{b:g}" for b in self.benefit_mults)]
+        lines = ["cost_mult\\benefit_mult," + ",".join(map(str, self.benefit_mults))]
         for k, row in zip(self.cost_mults, self.irr):
             cells = ",".join("" if v is None else repr(v) for v in row)
-            lines.append(f"{k:g},{cells}")
+            lines.append(f"{k},{cells}")
         return "\n".join(lines) + "\n"
 
 

@@ -823,7 +823,16 @@ def test_grid_command(tmp_path):
     assert doc["irr"][0][0] < base_irr < doc["irr"][0][2]  # rises with benefits
     assert doc["irr"][1][1] < base_irr  # falls with costs
     csv_text = (out / "grid.csv").read_text()
-    assert csv_text.splitlines()[0].endswith("0.85,1,1.15")
+    assert csv_text.splitlines()[0].endswith("0.85,1.0,1.15")
+
+
+def test_grid_csv_labels_each_multiplier_with_every_digit(tmp_path):
+    out = tmp_path / "o"
+    assert run(["grid", STYLIZED, "--cost-mults", "1.0000001,1.0000002",
+                "--benefit-mults", "123456789,123456790", "--out", str(out)]) == 0
+    lines = (out / "grid.csv").read_text().splitlines()
+    assert lines[0] == "cost_mult\\benefit_mult,123456789.0,123456790.0"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0000001", "1.0000002"]
 
 
 def test_grid_non_finite_multiplier_is_validation_error(tmp_path, capsys):

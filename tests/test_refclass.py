@@ -440,6 +440,27 @@ def test_group_ratios_one_pass_in_record_order():
     assert list(group_stats(ref, "decade", "benefit")) == ["1990s"]
 
 
+def test_a_class_builds_its_cost_and_schedule_columns_once(monkeypatch):
+    import fragilis.refclass as rc
+
+    calls = []  # each ratio the cost and schedule rules compute, as (actual, estimated)
+    monkeypatch.setattr(rc, "truediv", lambda a, b: calls.append((a, b)) or a / b)
+    records = tuple(make_record(i, act_cost=101.0 + i, act_months=61.0 + i, year=1970 + 5 * i,
+                                region=(Region.ASIA, Region.EUROPE)[i % 2]) for i in range(6))
+    ref = ReferenceClass(records)
+    built = [(r.act_cost, r.est_cost) for r in records] + [(r.act_months, r.est_months)
+                                                           for r in records]
+    assert calls == built  # one cost pass, then one schedule pass
+    columns = {"cost": [a / b for a, b in built[:6]], "schedule": [a / b for a, b in built[6:]]}
+    for metric, column in columns.items():
+        assert ref.ratios(metric) == column
+        summarize(ref, metric, (1.05,))
+        for key in ("region", "project_type", "decade"):
+            group_ratios(ref, key, metric)
+            group_stats(ref, key, metric, (1.05,))
+    assert calls == built  # no statistic rebuilt a column
+
+
 def test_group_stats_builds_no_reference_class(monkeypatch):
     import fragilis.refclass as rc
 

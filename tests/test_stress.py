@@ -393,7 +393,7 @@ def test_p_break_analytic_floor(canonical_dist):
 def test_p_break_analytic_between_anchors_mc_oracle(canonical_dist):
     k = 1.6
     expected = p_break_analytic(canonical_dist, k)
-    draws = canonical_dist.sample_array(_rng.uniforms(123, CAPEX_TAG, 0, 10_000_000))
+    draws = canonical_dist.quantile_array(_rng.uniforms(123, CAPEX_TAG, 0, 10_000_000))
     p_mc = float(np.mean(draws >= k))
     se = math.sqrt(expected * (1 - expected) / draws.size)
     assert abs(p_mc - expected) <= 3 * se
@@ -409,7 +409,7 @@ def test_p_break_analytic_domain(canonical_dist):
 
 
 def test_calibrated_mean_recovered_from_large_sample(canonical_dist):
-    draws = canonical_dist.sample_array(_rng.uniforms(2024, CAPEX_TAG, 0, 10_000_000))
+    draws = canonical_dist.quantile_array(_rng.uniforms(2024, CAPEX_TAG, 0, 10_000_000))
     sample_mean = float(draws.mean())
     se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     assert abs(sample_mean - canonical_dist.mean()) <= 4 * se
@@ -506,7 +506,7 @@ def test_grid_empty_multiplier_lists():
     model = build_stylized_model()
     assert sensitivity_grid(model, [], [1.0, 2.0]).bcr == ((), ())
     grid = sensitivity_grid(model, [1.0], [])
-    assert grid.irr == grid.bcr == () and grid.to_csv() == "cost_mult\\benefit_mult,1\n"
+    assert grid.irr == grid.bcr == () and grid.to_csv() == "cost_mult\\benefit_mult,1.0\n"
 
 
 def test_grid_validation():

@@ -146,6 +146,11 @@ def test_reference_class_len_counts_records():
     assert len(ref) == len(ref.records) == 2
     assert ref == ReferenceClass(ref.records) and ref != ReferenceClass(ref.records, "other")
     assert ref != ReferenceClass(ref.records[:1])
+    # the stored ratio columns stay out of repr, and each ratios() list is the caller's own
+    assert repr(ref) == f"ReferenceClass(records={ref.records!r}, label='')"
+    for metric, column in {"cost": [1.5, 0.9], "schedule": [80 / 60, 50 / 60]}.items():
+        ref.ratios(metric).clear()
+        assert ref.ratios(metric) == column
 
 
 def test_only_errors_writes_the_value_class_methods():
@@ -159,10 +164,12 @@ def test_only_errors_writes_the_value_class_methods():
     assert not found
 
 
-@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda value: pickle.loads(pickle.dumps(value))])
 def test_copies_of_the_slotted_classes_equal_the_original(copier):
     ref, model = _ref(), _model()
-    assert copier(ref) == ref
+    back = copier(ref)  # rebuilt through the constructor: same ratio columns
+    assert back == ref and back._columns == ref._columns and back._columns is not ref._columns
     back = copier(model)  # rebuilt through the constructor: same B, C, O
     assert back == model and (back.pv_benefits, back.pv_capex, back.pv_om) == (
         model.pv_benefits, model.pv_capex, model.pv_om)
